@@ -23,10 +23,10 @@ build:
 	$(GO) build ./...
 
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 120s ./...
 
 race:
-	$(GO) test -race -count=1 $(RACE_PKGS)
+	$(GO) test -race -count=1 -timeout 120s $(RACE_PKGS)
 
 # The crash-injection torture subsystem's CI entry point: the short fixed
 # seed set per logging kind (one seed per kind crashing *during* Restart)
@@ -35,7 +35,7 @@ race:
 # `go run ./cmd/pacman-bench -exp torture -seed <s> -iters 1`. The wide
 # sweep hides behind `go test -run TestTortureLong -torture.long .`.
 torture:
-	$(GO) test -race -count=1 -run 'TestTortureShort|TestFutureCrashSemantics' -v .
+	$(GO) test -race -count=1 -timeout 120s -run 'TestTortureShort|TestFutureCrashSemantics' -v .
 
 # A tiny end-to-end run of the bench binary: logs a short smallbank run on
 # two simulated devices and recovers it with every scheme through both the
@@ -59,23 +59,23 @@ torture:
 # checkouts that never ran smoke — the directory is gitignored).
 smoke:
 	$(GO) run ./cmd/pacman-bench -exp reload,latency,throughput,mixed,restart,torture,net,shard,gray,scaling -duration 300ms -workers 2 -json bench-results
-	$(GO) test -count=1 -run TestBenchArtifactsPresent .
+	$(GO) test -count=1 -timeout 120s -run TestBenchArtifactsPresent .
 
 # The documentation gate: the spec-first doc-drift test (wire constants vs
 # docs/PROTOCOL.md's normative tables), the relative-link check over
 # README/ROADMAP/docs, and every runnable Example (Launch, Restart,
 # Frontend.Submit, client Dial) with its asserted output.
 docs:
-	$(GO) test -count=1 -run TestDocsProtocolDrift ./internal/wire/
-	$(GO) test -count=1 -run TestDocsLinks .
-	$(GO) test -count=1 -run Example . ./client/
+	$(GO) test -count=1 -timeout 120s -run TestDocsProtocolDrift ./internal/wire/
+	$(GO) test -count=1 -timeout 120s -run TestDocsLinks .
+	$(GO) test -count=1 -timeout 120s -run Example . ./client/
 
 # The commit-hot-path regression guard: the BenchmarkCommitLogged* micro
 # benchmarks with allocation counts. The allocs/op columns are the contract
 # — the execute->commit->encode->release pipeline stays at a handful of
 # allocations per transaction (see README "Performance").
 bench:
-	$(GO) test -run='^$$' -bench=BenchmarkCommitLogged -benchmem -count=1 .
+	$(GO) test -run='^$$' -bench=BenchmarkCommitLogged -benchmem -count=1 -timeout 120s .
 
 # The full experiment benchmark sweep (slow; not part of check).
 bench-all:

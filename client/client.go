@@ -18,11 +18,13 @@
 // ErrConnLost — the network twin of "executed, maybe durable, ack lost",
 // which is exactly how the torture oracle treats it.
 //
-// Server-side backpressure (a full admission queue) and drain notices are
-// retried internally with exponential backoff: both mean the request was
-// NEVER executed, so resubmission is always safe. Lost connections are
-// redialed with backoff in the background; futures in flight at the loss
-// resolve ErrConnLost (unknown outcome — a resubmission could double-
+// Server-side backpressure (a full admission queue) is retried internally
+// with exponential backoff: the request was NEVER executed, so resubmission
+// is always safe. A call bounced by a draining server resolves at once with
+// an error that is errors.Is both ErrConnLost and wire.ErrDraining — also
+// never executed; the caller decides whether to resubmit. Lost connections
+// are redialed with backoff in the background; futures in flight at the
+// loss resolve ErrConnLost (unknown outcome — a resubmission could double-
 // execute), while queued-but-unsent work simply waits for the next link.
 package client
 
@@ -45,7 +47,10 @@ import (
 var (
 	// ErrConnLost resolves futures whose connection died between submission
 	// and result: the request may or may not have executed (and may or may
-	// not be durable) — the oracle-visible "maybe" outcome.
+	// not be durable) — the oracle-visible "maybe" outcome. A call bounced
+	// by a draining server resolves with an error wrapping both ErrConnLost
+	// and wire.ErrDraining: the link is going away, but wire.ErrDraining
+	// marks that this request never executed, so resubmitting it is safe.
 	ErrConnLost = errors.New("client: connection lost before result; outcome unknown")
 	// ErrClientClosed resolves futures submitted to (or pending retry on) a
 	// closed client; the request was not executed.
@@ -71,9 +76,9 @@ type Config struct {
 	// keepalive (the default).
 	KeepAlive time.Duration
 	// RetryBudget caps how many times one call is resubmitted after a
-	// server-side shed (Backpressure or Draining — both guarantee the
-	// request never executed). When the budget runs out the call's future
-	// resolves with a StatusError carrying the attempt count (unwrapping to
+	// server-side Backpressure shed (which guarantees the request never
+	// executed). When the budget runs out the call's future resolves with a
+	// StatusError carrying the attempt count (unwrapping to
 	// wire.ErrBackpressure). Zero means retry forever (the pre-budget
 	// behavior: callers that prefer blocking to shedding keep it).
 	RetryBudget int
@@ -160,9 +165,9 @@ func (f *Future) Latency() time.Duration {
 	return time.Since(f.start) // resolved instant ≈ now for waiters
 }
 
-// call is one in-flight (or retry-pending) request. The encoded submission
-// is retained so backpressure/draining rejections — which guarantee the
-// request never executed — can resend it safely.
+// call is one in-flight (or retry-pending) request. The submission is
+// retained so a backpressure rejection — which guarantees the request never
+// executed — can resend it safely.
 type call struct {
 	fut      *Future
 	name     string
@@ -185,7 +190,7 @@ type link struct {
 	procs  map[string]uint32
 	window chan struct{}
 	down   chan struct{}
-	dmu    sync.Mutex // guards draining + down close
+	dmu    sync.Mutex // guards down close
 	downed bool
 
 	wmu sync.Mutex // serializes frame writes
@@ -194,9 +199,8 @@ type link struct {
 	// the keepalive prober treats it as proof of peer liveness.
 	lastRecv atomic.Int64
 
-	pmu      sync.Mutex
-	pending  map[uint64]*call
-	draining bool
+	pmu     sync.Mutex
+	pending map[uint64]*call
 }
 
 // Client is a pacmand connection manager: one live link at a time,
@@ -207,12 +211,13 @@ type Client struct {
 	cfg           Config
 
 	mu     sync.Mutex
-	cond   *sync.Cond
 	link   *link
 	closed bool
+	// changed is closed (and replaced) whenever link is installed or the
+	// client closes; waitLink selects on it.
+	changed chan struct{}
 
 	nextReq atomic.Uint64
-	wantAck chan struct{} // signals the maintainer to (re)dial
 
 	// Liveness telemetry: ping round-trips (keepalive probes and explicit
 	// Pings both count) and connection/retry churn, exposed via Stats. A
@@ -241,7 +246,7 @@ type Stats struct {
 	Pongs uint64 `json:"pongs"`
 	// Reconnects counts successful redials after the initial connection.
 	Reconnects uint64 `json:"reconnects"`
-	// Retries counts backpressure/draining resubmissions; Shed counts calls
+	// Retries counts backpressure resubmissions; Shed counts calls
 	// failed because their RetryBudget ran out.
 	Retries uint64 `json:"retries"`
 	Shed    uint64 `json:"shed"`
@@ -302,16 +307,13 @@ func (c *Client) pong(reqID uint64) {
 // misconfiguration fails fast; afterwards, lost connections are redialed
 // with exponential backoff in the background until Close.
 func Dial(network, addr string, cfg Config) (*Client, error) {
-	c := &Client{network: network, addr: addr, cfg: cfg.withDefaults(), wantAck: make(chan struct{}, 1)}
-	c.cond = sync.NewCond(&c.mu)
+	c := &Client{network: network, addr: addr, cfg: cfg.withDefaults(), changed: make(chan struct{})}
 	l, err := c.connect()
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	c.link = l
-	c.mu.Unlock()
-	go c.maintain()
+	c.link = l // c is not shared until maintain starts
+	go c.maintain(l)
 	return c, nil
 }
 
@@ -428,30 +430,12 @@ func jitterBackoff(min, max time.Duration, attempt int) time.Duration {
 	return time.Duration(rand.Int63n(int64(cap))) + 1
 }
 
-// maintain owns the link lifecycle: whenever the current link dies, dial a
-// replacement with jittered exponential backoff until Close.
-func (c *Client) maintain() {
+// maintain owns the link lifecycle: whenever the current link l dies, dial
+// a replacement with jittered exponential backoff until Close. A dead link
+// stays installed until its replacement lands; waitLink skips it.
+func (c *Client) maintain(l *link) {
 	for {
-		c.mu.Lock()
-		l := c.link
-		closed := c.closed
-		c.mu.Unlock()
-		if closed {
-			return
-		}
-		if l != nil {
-			select {
-			case <-l.down:
-			case <-c.wantAck:
-				continue
-			}
-		}
-		// Link is down: clear it and redial with backoff.
-		c.mu.Lock()
-		if c.link == l {
-			c.link = nil
-		}
-		c.mu.Unlock()
+		<-l.down // Close fails the installed link, so this always wakes
 		for attempt := 0; ; attempt++ {
 			c.mu.Lock()
 			closed := c.closed
@@ -462,11 +446,16 @@ func (c *Client) maintain() {
 			nl, err := c.connect()
 			if err == nil {
 				c.mu.Lock()
-				c.link = nl
-				c.cond.Broadcast()
+				if c.closed { // Close ran during the dial
+					c.mu.Unlock()
+					nl.fail()
+					return
+				}
+				c.setLinkLocked(nl)
 				c.mu.Unlock()
 				c.reconnects.Add(1)
 				c.logf("client: reconnected to %s", c.addr)
+				l = nl
 				break
 			}
 			backoff := jitterBackoff(c.cfg.BackoffMin, c.cfg.BackoffMax, attempt)
@@ -528,8 +517,10 @@ func (c *Client) readLoop(l *link) {
 			case h.Code == wire.CodeOK:
 				cl.fut.resolve(pacman.TS(ts), nil)
 			case h.Code == wire.CodeDraining:
-				// Never executed: retry after the server comes back.
-				c.retryLater(cl)
+				// Never executed, and the server is closing this link:
+				// resolve now rather than park for an incarnation that may
+				// never come. The caller decides whether to resubmit.
+				cl.fut.resolve(0, fmt.Errorf("%w: %w", ErrConnLost, wire.CodeError(h.Code, msg)))
 			default:
 				cl.fut.resolve(0, wire.CodeError(h.Code, msg))
 			}
@@ -549,12 +540,8 @@ func (c *Client) readLoop(l *link) {
 				c.retryLater(cl)
 			}
 		case wire.FrameGoAway:
-			// Stop submitting on this link; the server settles what is in
-			// flight and then closes. New submissions wait for the next
-			// incarnation.
-			l.pmu.Lock()
-			l.draining = true
-			l.pmu.Unlock()
+			// Drain notice: the server settles what is in flight, bounces
+			// later submits with CodeDraining, then closes. Nothing to do.
 		case wire.FramePong:
 			// Liveness answer: match it to our probe for an RTT sample.
 			c.pong(h.ReqID)
@@ -711,19 +698,6 @@ func (c *Client) dispatch(cl *call) {
 			return
 		}
 		l.pmu.Lock()
-		if l.draining {
-			l.pmu.Unlock()
-			select {
-			case <-l.window:
-			default:
-			}
-			select {
-			case <-l.down: // server is settling and closing; wait it out
-			case <-cl.fut.done:
-				return
-			}
-			continue
-		}
 		l.pending[cl.reqID] = cl
 		l.pmu.Unlock()
 
@@ -786,70 +760,41 @@ func (c *Client) dispatch(cl *call) {
 	}
 }
 
-// waitLink blocks until a live, non-draining link exists, the client is
-// closed, or abort fires — nil return for the latter two. abort is the
-// call's resolution channel: a deadline that expires while the client is
-// disconnected must release the dispatcher (the future already resolved
+// waitLink blocks until a live link exists, the client is closed, or abort
+// fires — nil return for the latter two. abort is the call's resolution
+// channel: a deadline that expires while the client is disconnected must
+// release the dispatcher (the future already resolved
 // CodeDeadlineExceeded), not strand it until a reconnect that may never
 // complete. Pass nil for an unbounded wait.
 func (c *Client) waitLink(abort <-chan struct{}) *link {
-	var watcher chan struct{}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	defer func() {
-		if watcher != nil {
-			close(watcher)
-		}
-	}()
 	for {
-		if c.closed {
+		c.mu.Lock()
+		l, closed, changed := c.link, c.closed, c.changed
+		c.mu.Unlock()
+		if closed {
 			return nil
 		}
-		if abort != nil {
+		if l != nil {
 			select {
-			case <-abort:
-				return nil
+			case <-l.down: // dead; the maintainer is replacing it
 			default:
+				return l
 			}
 		}
-		if l := c.link; l != nil {
-			l.pmu.Lock()
-			draining := l.draining
-			l.pmu.Unlock()
-			select {
-			case <-l.down:
-			default:
-				if !draining {
-					return l
-				}
-			}
-			// Dead or draining: drop our reference and wait for the
-			// maintainer to replace it.
-			c.mu.Unlock()
-			select {
-			case <-l.down:
-			case <-time.After(c.cfg.BackoffMin):
-			case <-abort: // nil abort never fires
-			}
-			c.mu.Lock()
-			continue
+		select {
+		case <-changed:
+		case <-abort: // nil abort never fires
+			return nil
 		}
-		// No link at all: cond.Wait can't select on abort, so arrange a
-		// one-shot watcher that re-broadcasts when abort fires.
-		if abort != nil && watcher == nil {
-			watcher = make(chan struct{})
-			go func(stop <-chan struct{}) {
-				select {
-				case <-abort:
-					c.mu.Lock()
-					c.cond.Broadcast()
-					c.mu.Unlock()
-				case <-stop:
-				}
-			}(watcher)
-		}
-		c.cond.Wait()
 	}
+}
+
+// setLinkLocked installs l (nil on Close) and wakes every waitLink. c.mu
+// must be held.
+func (c *Client) setLinkLocked(l *link) {
+	c.link = l
+	close(c.changed)
+	c.changed = make(chan struct{})
 }
 
 // Ping round-trips a liveness probe on the current connection. The probe
@@ -873,14 +818,7 @@ func (c *Client) Close() {
 	}
 	c.closed = true
 	l := c.link
-	c.link = nil
-	c.cond.Broadcast()
+	c.setLinkLocked(nil)
 	c.mu.Unlock()
-	select {
-	case c.wantAck <- struct{}{}:
-	default:
-	}
-	if l != nil {
-		l.fail()
-	}
+	l.fail() // maintain waits on it; in-flight futures resolve ErrConnLost
 }

@@ -3,6 +3,7 @@ package client_test
 import (
 	"errors"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -212,23 +213,68 @@ func TestClientDrainAndClose(t *testing.T) {
 	for i := range futs {
 		futs[i] = c.Submit("Deposit", depositArgs(int64(i%16), 1))
 	}
+	// The server reads serially, so a Pong proves every Submit above was
+	// read; unread bytes at the sever would otherwise resolve ErrConnLost.
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	for c.Stats().Pongs == 0 {
+		time.Sleep(time.Millisecond)
+	}
 	srv.Drain(5 * time.Second)
 
 	for i, f := range futs {
 		_, err := f.Wait()
-		if err != nil && !errors.Is(err, client.ErrConnLost) {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		if err != nil {
-			// Tolerated only for requests the drain race never admitted;
-			// admitted ones must have settled durable above.
-			t.Logf("submit %d lost in drain race: %v", i, err)
+		if err != nil && !(errors.Is(err, client.ErrConnLost) && errors.Is(err, wire.ErrDraining)) {
+			t.Fatalf("submit %d: want durable or a drain bounce, got %v", i, err)
 		}
 	}
 
 	c.Close()
 	if _, err := c.Exec("Deposit", depositArgs(1, 1)); !errors.Is(err, client.ErrClientClosed) {
 		t.Fatalf("post-close exec: %v", err)
+	}
+}
+
+// TestClientDeadlineWhileDisconnected: a deadline that expires while the
+// client has no link (server killed, never back) must release the parked
+// submission — the future resolves CodeDeadlineExceeded on time and no
+// goroutine is left behind waiting for a reconnect.
+func TestClientDeadlineWhileDisconnected(t *testing.T) {
+	db, srv, addr := launch(t, wire.ServerConfig{Workers: 2, Queue: 16})
+	defer db.Close()
+	defer srv.Close()
+
+	c, err := client.Dial("tcp", addr.String(), client.Config{Window: 4, BackoffMin: time.Millisecond, BackoffMax: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	srv.Kill()
+
+	for attempt := 0; ; attempt++ {
+		before := runtime.NumGoroutine()
+		futCh := make(chan *client.Future, 1)
+		go func() { futCh <- c.SubmitWithin("Deposit", depositArgs(1, 1), 50*time.Millisecond) }()
+		var err error
+		select {
+		case f := <-futCh:
+			err = f.Err()
+		case <-time.After(time.Second):
+			t.Fatal("deadline submit did not resolve within 1s while disconnected")
+		}
+		if errors.Is(err, client.ErrConnLost) && attempt < 3 {
+			continue // sent before the client saw the kill: outcome unknown
+		}
+		if !errors.Is(err, pacman.ErrDeadlineExceeded) {
+			t.Fatalf("err = %v, want CodeDeadlineExceeded", err)
+		}
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("goroutines = %d after resolution, want <= %d", runtime.NumGoroutine(), before)
+			}
+		}
+		return
 	}
 }
 

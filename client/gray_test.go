@@ -10,10 +10,11 @@ import (
 	"pacman/internal/wire"
 )
 
-// backpressureServer is a fake PAC1 endpoint: it completes the handshake
-// and answers every Submit with a Backpressure frame, never executing
-// anything — the wire behavior of an instance held in brownout.
-func backpressureServer(t *testing.T) net.Addr {
+// shedServer is a fake PAC1 endpoint: it completes the handshake and
+// answers every Submit with the reply frame (its ReqID filled in), never
+// executing anything — a Backpressure frame is the wire behavior of an
+// instance held in brownout, a CodeDraining Result that of one draining.
+func shedServer(t *testing.T, reply wire.Header, payload []byte) net.Addr {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -48,8 +49,9 @@ func backpressureServer(t *testing.T) net.Addr {
 					buf = p
 					switch h.Type {
 					case wire.FrameSubmit:
-						bp := wire.AppendBackpressure(nil, 1, 1)
-						if wire.WriteFrame(nc, wire.Header{Type: wire.FrameBackpressure, ReqID: h.ReqID}, bp) != nil {
+						r := reply // per connection: connections run concurrently
+						r.ReqID = h.ReqID
+						if wire.WriteFrame(nc, r, payload) != nil {
 							return
 						}
 					case wire.FramePing:
@@ -69,7 +71,7 @@ func backpressureServer(t *testing.T) net.Addr {
 // attempts — never an unbounded retry storm — with the attempt count on
 // the StatusError and the shed visible in Stats.
 func TestClientRetryBudgetExhaustion(t *testing.T) {
-	addr := backpressureServer(t)
+	addr := shedServer(t, wire.Header{Type: wire.FrameBackpressure}, wire.AppendBackpressure(nil, 1, 1))
 	const budget = 3
 	c, err := client.Dial("tcp", addr.String(), client.Config{
 		Window: 4, RetryBudget: budget,
@@ -99,6 +101,32 @@ func TestClientRetryBudgetExhaustion(t *testing.T) {
 	st := c.Stats()
 	if st.Shed != 1 || st.Retries != budget-1 {
 		t.Fatalf("stats = %+v, want Shed=1 Retries=%d", st, budget-1)
+	}
+}
+
+// TestClientDrainBounceResolves: a CodeDraining Result resolves the call at
+// once — never parked, never retried — with an error that is both
+// ErrConnLost (the link is going away) and wire.ErrDraining (never
+// executed, so the caller may resubmit).
+func TestClientDrainBounceResolves(t *testing.T) {
+	addr := shedServer(t, wire.Header{Type: wire.FrameResult, Code: wire.CodeDraining}, nil)
+	c, err := client.Dial("tcp", addr.String(), client.Config{Window: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	fut := c.Submit("Deposit", depositArgs(1, 1))
+	select {
+	case <-fut.Done():
+	case <-time.After(time.Second):
+		t.Fatal("drain bounce did not resolve within 1s")
+	}
+	if err := fut.Err(); !errors.Is(err, client.ErrConnLost) || !errors.Is(err, wire.ErrDraining) {
+		t.Fatalf("err = %v, want ErrConnLost and ErrDraining", err)
+	}
+	if st := c.Stats(); st.Retries != 0 {
+		t.Fatalf("stats = %+v, want Retries=0", st)
 	}
 }
 

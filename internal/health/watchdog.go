@@ -55,9 +55,10 @@ type Config struct {
 	// (default 4 — deliberately laggier than TripAfter so recovery is
 	// proven, not glimpsed).
 	ClearAfter int
-	// OnTransition runs on the watchdog goroutine at every state change.
-	// It must not block; wire it to fast flag flips (Frontend.SetBrownout)
-	// and hand anything slower to another goroutine.
+	// OnTransition runs on the watchdog goroutine at every state change,
+	// before State reports the new state. It must not block; wire it to
+	// fast flag flips (Frontend.SetBrownout) and hand anything slower to
+	// another goroutine.
 	OnTransition func(from, to State, cause string)
 	// Logf, when non-nil, receives one line per transition.
 	Logf func(format string, args ...any)
@@ -233,10 +234,11 @@ func (w *Watchdog) sample(now time.Time) []SignalStatus {
 	return out
 }
 
+// transition records and announces a state change, publishing the new state
+// last: a reader that sees State() == to also sees the history entry, the
+// brownout count and the OnTransition side effects.
 func (w *Watchdog) transition(now time.Time, to State, cause string) {
 	from := w.State()
-	w.state.Store(int32(to))
-	w.since.Store(now.UnixNano())
 	w.breached, w.clean = 0, 0
 	if to == Brownout {
 		w.brownouts.Add(1)
@@ -253,6 +255,8 @@ func (w *Watchdog) transition(now time.Time, to State, cause string) {
 	if w.cfg.OnTransition != nil {
 		w.cfg.OnTransition(from, to, cause)
 	}
+	w.since.Store(now.UnixNano())
+	w.state.Store(int32(to))
 }
 
 // Transitions returns a copy of the retained transition history.

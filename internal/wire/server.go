@@ -264,6 +264,10 @@ func (s *Server) Drain(timeout time.Duration) {
 	}
 	deadline := time.Now().Add(timeout)
 	for _, c := range conns {
+		// Barrier: an admission that checked draining before the Store
+		// above has finished its inflight.Add; every later one is bounced.
+		c.admitMu.Lock()
+		c.admitMu.Unlock()
 		done := make(chan struct{})
 		go func(c *srvConn) { c.inflight.Wait(); close(done) }(c)
 		select {
@@ -318,6 +322,10 @@ type srvConn struct {
 	closed    chan struct{}
 	closeOnce sync.Once
 
+	// admitMu orders admission against Drain: handleSubmit holds it from
+	// the draining check to inflight.Add, Drain takes it once before
+	// inflight.Wait.
+	admitMu   sync.Mutex
 	inflight  sync.WaitGroup
 	inflightN atomic.Int32
 }
@@ -436,32 +444,43 @@ func (c *srvConn) readLoop() {
 // Result frame whenever the durable-commit future resolves — out of order
 // relative to other requests on the same connection.
 func (c *srvConn) handleSubmit(h Header, p []byte) {
+	fut, st, reject := c.admit(h, p)
+	if fut == nil {
+		c.send(reject)
+		return
+	}
+	go c.respond(h.ReqID, fut, st)
+}
+
+// admit runs one submission's admission under admitMu, from the draining
+// check to the inflight.Add, so Drain's barrier on admitMu orders every
+// admission either before its inflight.Wait (and the result is delivered)
+// or after draining is set (and the request is bounced). It returns the
+// admitted future, or the rejection frame to send.
+func (c *srvConn) admit(h Header, p []byte) (Waiter, *feState, outMsg) {
+	c.admitMu.Lock()
+	defer c.admitMu.Unlock()
 	st := c.s.state.Load()
 	if st == nil || c.s.draining.Load() {
-		c.send(outMsg{h: Header{Type: FrameResult, Code: CodeDraining, ReqID: h.ReqID}})
-		return
+		return nil, nil, outMsg{h: Header{Type: FrameResult, Code: CodeDraining, ReqID: h.ReqID}}
 	}
 	procID, timeout, args, err := ParseSubmit(p, h.Flags)
 	if err != nil {
-		c.send(outMsg{h: Header{Type: FrameResult, Code: CodeBadFrame, ReqID: h.ReqID},
-			payload: AppendResultErr(nil, err.Error())})
-		return
+		return nil, nil, outMsg{h: Header{Type: FrameResult, Code: CodeBadFrame, ReqID: h.ReqID},
+			payload: AppendResultErr(nil, err.Error())}
 	}
 	if int(procID) >= len(st.procs) {
-		c.send(outMsg{h: Header{Type: FrameResult, Code: CodeUnknownProc, ReqID: h.ReqID},
-			payload: AppendResultErr(nil, fmt.Sprintf("proc id %d outside table of %d", procID, len(st.procs)))})
-		return
+		return nil, nil, outMsg{h: Header{Type: FrameResult, Code: CodeUnknownProc, ReqID: h.ReqID},
+			payload: AppendResultErr(nil, fmt.Sprintf("proc id %d outside table of %d", procID, len(st.procs)))}
 	}
 	if st.be.Brownout() {
 		// Health watchdog brownout: shed at the wire before the frontend
 		// sees the request. Backpressure (not a terminal Result) so the
 		// client's pacing/retry machinery handles it like a full queue.
-		c.backpressure(h.ReqID, st)
-		return
+		return nil, nil, backpressure(h.ReqID, st)
 	}
 	if int(c.inflightN.Load()) >= c.s.cfg.Window {
-		c.backpressure(h.ReqID, st)
-		return
+		return nil, nil, backpressure(h.ReqID, st)
 	}
 	name := st.procs[procID]
 	mode := ModeNormal
@@ -485,20 +504,20 @@ func (c *srvConn) handleSubmit(h Header, p []byte) {
 		// client retries. This is the admission-control path that keeps a
 		// saturated Frontend from either blocking the reader (head-of-line
 		// stalling every pipelined request) or dropping the connection.
-		c.backpressure(h.ReqID, st)
-		return
+		return nil, nil, backpressure(h.ReqID, st)
 	}
 	_ = ok // !ok with a non-nil future carries a terminal error; respond normally
 	c.inflightN.Add(1)
 	c.inflight.Add(1)
-	go c.respond(h.ReqID, fut, st)
+	return fut, st, outMsg{}
 }
 
-func (c *srvConn) backpressure(reqID uint64, st *feState) {
-	c.send(outMsg{
+// backpressure builds the Backpressure frame answering reqID.
+func backpressure(reqID uint64, st *feState) outMsg {
+	return outMsg{
 		h:       Header{Type: FrameBackpressure, Code: CodeBackpressure, ReqID: reqID},
 		payload: AppendBackpressure(nil, uint32(st.be.QueueDepth()), uint32(st.be.QueueCap())),
-	})
+	}
 }
 
 // respond waits one future out and sends its Result frame.
@@ -512,7 +531,7 @@ func (c *srvConn) respond(reqID uint64, fut Waiter, st *feState) {
 		// a router's open circuit breaker). The guarantee is identical to a
 		// full queue — never executed — so surface the same Backpressure
 		// frame and let the client's retry/backoff machinery handle it.
-		c.backpressure(reqID, st)
+		c.send(backpressure(reqID, st))
 		return
 	}
 	h := Header{Type: FrameResult, Code: code, ReqID: reqID}

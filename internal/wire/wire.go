@@ -409,8 +409,8 @@ type StatusError struct {
 	Msg  string
 	// Attempts is how many times the client tried this call before giving
 	// up (zero when the first attempt produced the result). Retries happen
-	// on Backpressure/Draining sheds; the count makes "the server shed me
-	// N times" diagnosable from the error alone.
+	// on Backpressure sheds; the count makes "the server shed me N times"
+	// diagnosable from the error alone.
 	Attempts int
 }
 
