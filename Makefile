@@ -28,14 +28,17 @@ test:
 race:
 	$(GO) test -race -count=1 -timeout 120s $(RACE_PKGS)
 
-# The crash-injection torture subsystem's CI entry point: the short fixed
-# seed set per logging kind (one seed per kind crashing *during* Restart)
-# plus the Future crash-semantics contract, raced. An oracle violation
-# prints the failing seed and the armed fault plans; reproduce it with
-# `go run ./cmd/pacman-bench -exp torture -seed <s> -iters 1`. The wide
-# sweep hides behind `go test -run TestTortureLong -torture.long .`.
+# The crash-injection torture subsystem's CI entry point, raced: the short
+# fixed seed set per logging kind (one seed per kind crashing *during*
+# Restart), the Future crash-semantics contract, and internal/torture's own
+# tests, which run all four shapes (in-process, net, gray, cluster) plus the
+# oracle's own checks. An oracle violation prints the failing seed, the
+# armed fault plans and the command that reruns its shape (e.g.
+# `go run ./cmd/pacman-bench -exp torture -seed <s> -iters 1 ...`). The
+# wide sweep hides behind `go test -run TestTortureLong -torture.long .`.
 torture:
 	$(GO) test -race -count=1 -timeout 120s -run 'TestTortureShort|TestFutureCrashSemantics' -v .
+	$(GO) test -race -count=1 -timeout 120s ./internal/torture/
 
 # A tiny end-to-end run of the bench binary: logs a short smallbank run on
 # two simulated devices and recovers it with every scheme through both the

@@ -132,19 +132,18 @@ func grayExp(w io.Writer, s harness.Scale) error {
 
 	// Torture phase: seeded gray cycles with the full oracle — watchdog
 	// must detect each injected slow fault, recover after it lifts, and
-	// durability must hold across the ending crash.
+	// durability must hold across the ending crash. A gray violation's
+	// repro line reruns this phase with its seed and shape.
 	seeds, cycles, txns := 2, 2, 800
 	if !s.Short {
 		seeds, cycles, txns = 4, 3, 2000
 	}
 	var total torture.Stats
 	start := time.Now()
-	for i := 0; i < seeds; i++ {
-		st, err := torture.RunGray(torture.GrayConfig{
-			Config: torture.Config{Seed: int64(1 + i), Cycles: cycles, TxnsPerCycle: txns},
-		})
+	for _, cfg := range tortureRuns(s, seeds, cycles, txns, false) {
+		st, err := torture.RunGray(cfg)
 		if err != nil {
-			fmt.Fprintf(w, "gray torture seed %d: FAILED\n%v\n", 1+i, err)
+			fmt.Fprintf(w, "gray torture seed %d: FAILED\n%v\n", cfg.Seed, err)
 			return err
 		}
 		total.Cycles += st.Cycles

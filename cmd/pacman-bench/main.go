@@ -84,11 +84,11 @@ func main() {
 	duration := flag.Duration("duration", 0, "override logging-run duration")
 	workers := flag.Int("workers", 0, "override OLTP worker count")
 	warehouses := flag.Int("warehouses", 0, "override TPC-C warehouse count")
-	seed := flag.Int64("seed", 0, "torture experiment: first seed to sweep (reproduces a reported oracle violation)")
-	iters := flag.Int("iters", 0, "torture experiment: how many consecutive seeds to sweep")
-	cycles := flag.Int("cycles", 0, "torture experiment: crash/restart cycles per run (violation reports print the value to pass)")
-	txns := flag.Int("txns", 0, "torture experiment: transaction budget per cycle (violation reports print the value to pass)")
-	force := flag.Bool("force", false, "torture experiment: with -seed, pin the forced crash-during-Restart flag of the reproduced run")
+	seed := flag.Int64("seed", 0, "torture, net and gray experiments: first torture seed to sweep (reproduces a reported oracle violation)")
+	iters := flag.Int("iters", 0, "torture, net and gray experiments: how many consecutive torture seeds to sweep")
+	cycles := flag.Int("cycles", 0, "torture, net and gray experiments: crash/restart cycles per torture run (violation reports print the value to pass)")
+	txns := flag.Int("txns", 0, "torture, net and gray experiments: transaction budget per torture cycle (violation reports print the value to pass)")
+	force := flag.Bool("force", false, "torture, net and gray experiments: with -seed, pin the forced crash-during-Restart flag of the reproduced run")
 	jsonDir := flag.String("json", "", "also write machine-readable BENCH_<experiment>.json results into this directory")
 	flag.Parse()
 

@@ -100,27 +100,20 @@ func netExp(w io.Writer, s harness.Scale) error {
 
 	// Crash phase: the same wire path under the torture oracle — kill the
 	// daemon mid-conversation, Restart, re-Listen, prove serving through a
-	// prober that survives the outage.
+	// prober that survives the outage. A network violation's repro line
+	// reruns this phase with its seed and shape.
 	cycles, txns := 3, 250
 	if !s.Short {
 		cycles, txns = 4, 400
 	}
-	st, err := torture.RunNet(torture.NetConfig{
-		Config: torture.Config{
-			Seed:               1,
-			Cycles:             cycles,
-			TxnsPerCycle:       txns,
-			Workers:            s.Workers,
-			Clients:            s.Workers,
-			ForceRecoveryCrash: true,
-		},
-		Network: "tcp",
-	})
-	if err != nil {
-		fmt.Fprintf(w, "network torture: FAILED\n%v\n", err)
-		return err
+	for _, cfg := range tortureRuns(s, 1, cycles, txns, true) {
+		st, err := torture.RunNet(cfg, "tcp")
+		if err != nil {
+			fmt.Fprintf(w, "network torture seed %d: FAILED\n%v\n", cfg.Seed, err)
+			return err
+		}
+		fmt.Fprintf(w, "network torture seed %d: %d kill/restart cycles, %d acked, %d maybe, %d crashes mid-recovery, %d stamps — oracle green\n",
+			cfg.Seed, st.Cycles, st.Acked, st.Maybe, st.RecoveryCrashes, st.Stamps)
 	}
-	fmt.Fprintf(w, "network torture: %d kill/restart cycles, %d acked, %d maybe, %d crashes mid-recovery, %d stamps — oracle green\n",
-		st.Cycles, st.Acked, st.Maybe, st.RecoveryCrashes, st.Stamps)
 	return nil
 }

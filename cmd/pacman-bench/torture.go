@@ -10,28 +10,15 @@ import (
 	"pacman/internal/torture"
 )
 
-// tortureExp runs the crash-injection torture matrix: seeded
-// crash→Restart→serve cycles under every logging kind (plus a TPC-C run
-// under command logging), verifying the durability/atomicity oracle after
-// every recovery. It is the reproduction entry point printed by oracle
-// violations: `pacman-bench -exp torture -seed <s>` re-derives the exact
-// fault plans of the failing run (-iters controls how many seeds are swept
-// starting there).
-func tortureExp(w io.Writer, s harness.Scale) error {
-	seeds := s.TortureIters
-	if seeds <= 0 {
-		seeds = 3
-		if !s.Short {
-			seeds = 10
-		}
-	}
-	base := s.TortureSeed
-	if base == 0 {
-		base = 1
-	}
-	cycles, txns := 4, 400
-	if s.Short {
-		cycles, txns = 3, 250
+// tortureRuns derives the torture runs an experiment sweeps from its
+// defaults and the -seed/-iters/-cycles/-txns/-force flags. Without -seed it
+// sweeps seeds from 1, forcing a crash mid-Restart on the first when
+// forceFirst; with -seed it reruns exactly the shape an oracle violation
+// printed — the force flag verbatim, because the fault-plan RNG stream
+// depends on it.
+func tortureRuns(s harness.Scale, seeds, cycles, txns int, forceFirst bool) []torture.Config {
+	if s.TortureIters > 0 {
+		seeds = s.TortureIters
 	}
 	if s.TortureCycles > 0 {
 		cycles = s.TortureCycles
@@ -39,19 +26,45 @@ func tortureExp(w io.Writer, s harness.Scale) error {
 	if s.TortureTxns > 0 {
 		txns = s.TortureTxns
 	}
-	// Reproduction mode (-seed given): the force flag comes verbatim from
-	// the violation report, because the fault-plan RNG stream depends on it.
-	// Sweep mode: force the first seed so every sweep exercises a crash
-	// mid-Restart.
-	force := func(i int) bool {
-		if s.TortureSeed != 0 {
-			return s.TortureForce
-		}
-		return i == 0
+	base := s.TortureSeed
+	if base == 0 {
+		base = 1
 	}
+	runs := make([]torture.Config, seeds)
+	for i := range runs {
+		force := forceFirst && i == 0
+		if s.TortureSeed != 0 {
+			force = s.TortureForce
+		}
+		runs[i] = torture.Config{
+			Seed:               base + int64(i),
+			Cycles:             cycles,
+			TxnsPerCycle:       txns,
+			Workers:            s.Workers,
+			Clients:            s.Workers,
+			ForceRecoveryCrash: force,
+		}
+	}
+	return runs
+}
+
+// tortureExp runs the crash-injection torture matrix: seeded
+// crash→Restart→serve cycles under every logging kind (plus a TPC-C run
+// under command logging), verifying the durability/atomicity oracle after
+// every recovery. It is the reproduction entry point printed by in-process
+// oracle violations: `pacman-bench -exp torture -seed <s>` re-derives the
+// exact fault plans of the failing run (-iters controls how many seeds are
+// swept starting there).
+func tortureExp(w io.Writer, s harness.Scale) error {
+	seeds, cycles, txns := 10, 4, 400
+	if s.Short {
+		seeds, cycles, txns = 3, 3, 250
+	}
+	runs := tortureRuns(s, seeds, cycles, txns, true)
 
 	fmt.Fprintln(w, "=== Crash-injection torture: fault plans, oracle, crash-during-recovery ===")
-	fmt.Fprintf(w, "seeds %d..%d, %d cycles x %d txns per run\n", base, base+int64(seeds)-1, cycles, txns)
+	fmt.Fprintf(w, "seeds %d..%d, %d cycles x %d txns per run\n",
+		runs[0].Seed, runs[len(runs)-1].Seed, runs[0].Cycles, runs[0].TxnsPerCycle)
 	type row struct {
 		kind     pacman.LogKind
 		workload string
@@ -65,20 +78,11 @@ func tortureExp(w io.Writer, s harness.Scale) error {
 	for _, r := range rows {
 		var total torture.Stats
 		start := time.Now()
-		for i := 0; i < seeds; i++ {
-			seed := base + int64(i)
-			st, err := torture.Run(torture.Config{
-				Seed:               seed,
-				Cycles:             cycles,
-				TxnsPerCycle:       txns,
-				Logging:            r.kind,
-				Workload:           r.workload,
-				Workers:            s.Workers,
-				Clients:            s.Workers,
-				ForceRecoveryCrash: force(i),
-			})
+		for _, cfg := range runs {
+			cfg.Logging, cfg.Workload = r.kind, r.workload
+			st, err := torture.Run(cfg)
 			if err != nil {
-				fmt.Fprintf(w, "%v/%-9s seed %d: FAILED\n%v\n", r.kind, r.workload, seed, err)
+				fmt.Fprintf(w, "%v/%-9s seed %d: FAILED\n%v\n", r.kind, r.workload, cfg.Seed, err)
 				return err
 			}
 			total.Cycles += st.Cycles

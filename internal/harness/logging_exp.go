@@ -22,12 +22,13 @@ type Scale struct {
 	Threads []int
 	// Warehouses scales TPC-C.
 	Warehouses int
-	// TortureSeed is the first seed the torture experiment sweeps
-	// (pacman-bench -seed; 0 means 1). An oracle violation prints the
-	// failing seed — rerunning with it re-derives the identical fault plans.
+	// TortureSeed is the first seed the torture, net and gray experiments'
+	// torture runs sweep (pacman-bench -seed; 0 means 1). An oracle
+	// violation prints the failing seed and experiment — rerunning with them
+	// re-derives the identical fault plans.
 	TortureSeed int64
-	// TortureIters is how many consecutive seeds the torture experiment
-	// sweeps (pacman-bench -iters; 0 means the scale default).
+	// TortureIters is how many consecutive seeds those torture runs sweep
+	// (pacman-bench -iters; 0 means the experiment's default).
 	TortureIters int
 	// TortureCycles/TortureTxns override the torture run shape
 	// (pacman-bench -cycles/-txns; 0 means the scale default). A violation

@@ -1,5 +1,5 @@
-// Package index provides the concurrent ordered and unordered indexes used
-// by the storage engine and the recovery schemes.
+// Package index provides the concurrent ordered index used by the storage
+// engine and the recovery schemes.
 //
 // BTree is a concurrent B+tree over uint64 keys using latch crabbing
 // (lock coupling): readers descend with shared locks, writers descend with

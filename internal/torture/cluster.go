@@ -1,410 +1,203 @@
 package torture
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pacman"
 	"pacman/client"
-	"pacman/internal/proc"
 	"pacman/internal/shard"
 	"pacman/internal/simdisk"
-	"pacman/internal/tuple"
 	"pacman/internal/wire"
-	"pacman/internal/workload"
 )
 
-// ClusterConfig tunes a sharded-cluster torture run: the durability and
-// atomicity oracle driven through a routing coordinator over N shard
-// instances, with a seeded victim — one shard, or the router itself —
-// killed mid-traffic every cycle.
-type ClusterConfig struct {
-	Config
-	// Shards is the cluster width (default 2).
-	Shards int
-	// Window is the per-connection in-flight window, used on both sides of
-	// the router (default 16).
-	Window int
+// clusterShards is the cluster width.
+const clusterShards = 2
+
+// clusterTarget is RunCluster's shape: clusterShards shard instances behind
+// wire servers, a router (with its own decision-log device) in front, and
+// the cluster mix driven through the router while a seeded victim dies
+// mid-traffic every cycle — even cycles kill one shard (severed links,
+// crashed instance, Restart over its mixed command/value log stream), odd
+// cycles kill the router (unsynced decision-log tail lost; the next
+// incarnation settles every in-doubt transaction from the log before
+// serving). After each cycle the oracle verifies cross-shard atomicity:
+// balance conservation summed over every shard, ledger stamp atomicity, and
+// per-gtid 2PC outcome agreement — then a long-lived prober proves the
+// recovered path serves a durable commit.
+//
+// Its settle is opaque: an error that crosses two wire hops (shard → router
+// backside, router → frontside client) can lose its identity — the
+// backside's connection loss and the router's own shutdown reach the client
+// as opaque internal codes — so anything not provably never-executed is
+// held to the maybe contract (all-or-nothing, outcome frozen by the next
+// verification) instead of being reported as a violation. The conservation
+// and ledger oracles lose no power: maybe slack for delta-zero cross-shard
+// payments is zero, so a torn one is still always caught.
+type clusterTarget struct {
+	cluster *shard.Cluster
+	dbs     []*pacman.DB
+	srvs    []*wire.Server
+	addrs   []string
+	rdev    *simdisk.Device
+	router  *shard.Router
+	rsrv    *wire.Server
+	front   string
+	prober  *client.Client
 }
 
-func (c ClusterConfig) withDefaults() ClusterConfig {
-	c.Config = c.Config.withDefaults()
-	if c.Shards <= 0 {
-		c.Shards = 2
+// openCluster builds the cluster — Smallbank over clusterShards shards, with
+// the torture ledger and stamp procedure riding along via the Extra hook so
+// they exist identically in every shard's catalog (the ledger is
+// unpartitioned: seeded everywhere, stamps routed to shard 0) — and starts
+// every shard, the router and the prober.
+func openCluster(e *engine) (target, error) {
+	if e.cfg.Workload != WorkloadSmallbank {
+		return nil, fmt.Errorf("torture: cluster runs serve smallbank, not %q", e.cfg.Workload)
 	}
-	if c.Window <= 0 {
-		c.Window = 16
+	led := e.ledger(WorkloadSmallbank, sbCustomers*3000, e.cfg.TxnsPerCycle)
+	c := &clusterTarget{
+		cluster: shard.NewSmallbankCluster(shard.Config{
+			Shards: clusterShards, Customers: sbCustomers, HotspotPct: 25, Extra: &led,
+		}),
+		dbs:   make([]*pacman.DB, clusterShards),
+		srvs:  make([]*wire.Server, clusterShards),
+		addrs: make([]string, clusterShards),
+		rdev:  simdisk.New("router-2pc", simdisk.Config{}),
 	}
-	return c
-}
-
-// newClusterHarness builds the cluster description — Smallbank over
-// cfg.Shards shards, with the torture ledger and stamp procedure riding
-// along via the Extra hook so they exist identically in every shard's
-// catalog (the ledger is unpartitioned: seeded everywhere, stamps routed
-// to shard 0) — and the cluster oracle over it.
-func newClusterHarness(cfg ClusterConfig) (*harness, *shard.Cluster, error) {
-	if cfg.Workload != WorkloadSmallbank {
-		return nil, nil, fmt.Errorf("torture: cluster runs serve smallbank, not %q", cfg.Workload)
-	}
-	h := &harness{}
-	h.ledgerPairs = cfg.Cycles*(cfg.TxnsPerCycle/4+8) + 64
-	pairs := h.ledgerPairs
-	extra := workload.BlueprintSpec{
-		Tables: []*tuple.Schema{tuple.MustSchema(ledgerTable,
-			tuple.Col("id", tuple.KindInt), tuple.Col("v", tuple.KindInt))},
-		Procs: []*proc.Procedure{stampProc()},
-		Seed: func(seed func(table string, key uint64, vals tuple.Tuple)) {
-			for k := uint64(1); k <= uint64(2*pairs); k++ {
-				seed(ledgerTable, k, tuple.Tuple{tuple.I(int64(k)), tuple.I(0)})
-			}
-		},
-	}
-	cluster := shard.NewSmallbankCluster(shard.Config{
-		Shards: cfg.Shards, Customers: cfg.SBCustomers, HotspotPct: 25, Extra: &extra,
-	})
-	h.oracle = newClusterOracle(WorkloadSmallbank, int64(cfg.SBCustomers)*3000, pairs, cfg.Shards)
-	return h, cluster, nil
-}
-
-// clusterTxn generates one transaction of the sharded mix. It mirrors
-// smallbankTxn with two cluster-specific adjustments: Amalgamate has no
-// cross-shard split, so its two customers are drawn from one shard; and
-// SendPayment may land cross-shard, where an unfunded debit aborts loudly
-// (the 2PC prepare votes no) instead of committing a no-op, so it carries
-// mayAbort. Every conservation delta stays exact — cross-shard payments
-// are delta zero, which is precisely why a torn one is detectable.
-func (h *harness) clusterTxn(rng *rand.Rand, submit submitFn, part shard.Partitioner) pending {
-	if rng.Intn(8) == 0 {
-		if pair := h.takeStamp(); pair >= 0 {
-			val := 1 + rng.Int63n(1<<40)
-			fut := submit("TortureStamp", pacman.Args{
-				proc.A(tuple.I(int64(pairKeyA(pair)))),
-				proc.A(tuple.I(int64(pairKeyB(pair)))),
-				proc.A(tuple.I(val)),
-			})
-			return pending{fut: fut, logged: true, stamp: pair, stampVal: val}
-		}
-	}
-	n := int64(h.sbCustomers())
-	cust := func() int64 {
-		if rng.Intn(4) == 0 {
-			return 1 + rng.Int63n(4) // hot keys
-		}
-		return 1 + rng.Int63n(n)
-	}
-	c1 := cust()
-	sameShard := func() int64 {
-		s1, _ := part.ShardOf("CHECKING", c1)
-		for {
-			c2 := cust()
-			if c2 == c1 {
-				continue
-			}
-			if s2, _ := part.ShardOf("CHECKING", c2); s2 == s1 {
-				return c2
-			}
-		}
-	}
-	distinct := func() int64 {
-		for {
-			if c2 := cust(); c2 != c1 {
-				return c2
-			}
-		}
-	}
-	amt := 1 + rng.Int63n(99)
-	fa := proc.A(tuple.F(float64(amt)))
-	p := pending{stamp: -1, logged: true}
-	switch rng.Intn(10) {
-	case 0, 1:
-		p.fut = submit("Amalgamate", pacman.Args{proc.A(tuple.I(c1)), proc.A(tuple.I(sameShard()))})
-	case 2, 3:
-		p.fut = submit("DepositChecking", pacman.Args{proc.A(tuple.I(c1)), fa})
-		p.lo, p.hi = amt, amt
-	case 4, 5:
-		p.fut = submit("SendPayment", pacman.Args{proc.A(tuple.I(c1)), proc.A(tuple.I(distinct())), fa})
-		p.logged = false
-		p.mayAbort = true
-	case 6:
-		v := amt
-		if rng.Intn(3) == 0 {
-			v = -v
-		}
-		p.fut = submit("TransactSavings", pacman.Args{proc.A(tuple.I(c1)), proc.A(tuple.F(float64(v)))})
-		p.lo, p.hi = v, v
-		p.mayAbort = true
-	case 7, 8:
-		p.fut = submit("WriteCheck", pacman.Args{proc.A(tuple.I(c1)), fa})
-		p.lo, p.hi = -amt-1, -amt
-	default:
-		p.fut = submit("Balance", pacman.Args{proc.A(tuple.I(c1))})
-		p.logged = false
-	}
-	return p
-}
-
-// settleCluster classifies one resolved future from the router frontside.
-// It differs from settle in its default case: an error that crosses two
-// wire hops (shard → router backside, router → frontside client) can lose
-// its identity — the backside's connection loss and the router's own
-// shutdown reach the client as opaque internal codes — so anything not
-// provably never-executed is held to the maybe contract (all-or-nothing,
-// outcome frozen by the next verification) instead of being reported as a
-// violation. The conservation and ledger oracles lose no power: maybe
-// slack for delta-zero cross-shard payments is zero, so a torn one is
-// still always caught.
-func settleCluster(j *journal, p pending) {
-	_, err := p.fut.Wait()
-	switch {
-	case err == nil:
-		j.acked++
-		j.ackLo += p.lo
-		j.ackHi += p.hi
-		if p.logged {
-			j.ackedLogged++
-			if e := p.fut.Epoch(); e > j.maxAckedEpoch {
-				j.maxAckedEpoch = e
-			}
-		}
-		if p.stamp >= 0 {
-			j.stampsAcked = append(j.stampsAcked, stampRec{pair: p.stamp, val: p.stampVal})
-		}
-	case errors.Is(err, pacman.ErrFrontendClosed), errors.Is(err, client.ErrClientClosed):
-		j.rejected++ // never executed: no effects, no slack
-	case p.mayAbort && errors.Is(err, proc.ErrAborted):
-		j.aborted++ // rolled back (round-trips both hops as CodeAborted)
-	default:
-		j.maybe++
-		if p.lo < 0 {
-			j.maybeLo += p.lo
-		}
-		if p.hi > 0 {
-			j.maybeHi += p.hi
-		}
-		if p.stamp >= 0 {
-			j.stampsMaybe = append(j.stampsMaybe, stampRec{pair: p.stamp, val: p.stampVal})
-		}
-	}
-}
-
-// RunCluster executes one sharded-cluster torture run: N shard instances
-// behind wire servers, a router (with its own decision-log device) in
-// front, and the cluster mix driven through the router while a seeded
-// victim dies mid-traffic every cycle — even cycles kill one shard
-// (severed links, crashed instance, Restart over its mixed command/value
-// log stream), odd cycles kill the router (unsynced decision-log tail
-// lost; the next incarnation settles every in-doubt transaction from the
-// log before serving). After each cycle the cluster oracle verifies
-// cross-shard atomicity: balance conservation summed over every shard,
-// ledger stamp atomicity, and per-gtid 2PC outcome agreement — then a
-// long-lived prober proves the recovered path serves a durable commit.
-func RunCluster(cfg ClusterConfig) (*Stats, error) {
-	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	st := &Stats{}
-
-	h, cluster, err := newClusterHarness(cfg)
-	if err != nil {
-		return st, err
-	}
-	shardOpts := func() pacman.Options {
-		return cluster.ShardOptions(pacman.Options{
-			Logging:       cfg.Logging,
-			Devices:       2,
-			EpochInterval: time.Millisecond,
-			MaxRetries:    1 << 20,
-		})
-	}
-
-	bps := make([]pacman.Blueprint, cfg.Shards)
-	dbs := make([]*pacman.DB, cfg.Shards)
-	devs := make([][]*pacman.Device, cfg.Shards)
-	srvs := make([]*wire.Server, cfg.Shards)
-	addrs := make([]string, cfg.Shards)
-	for i := range dbs {
-		bps[i] = cluster.ShardBlueprint(i)
-		db, err := pacman.Launch(bps[i], shardOpts())
-		if err != nil {
-			return st, err
-		}
-		dbs[i], devs[i] = db, db.Devices()
-		srv := wire.NewServer(wire.ServerConfig{Workers: cfg.Workers, Queue: 4 * cfg.Workers, Window: cfg.Window})
-		if err := srv.Attach(db); err != nil {
-			return st, err
-		}
-		bound, err := srv.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return st, err
-		}
-		srvs[i], addrs[i] = srv, bound.String()
-	}
-	defer func() {
-		for _, s := range srvs {
-			s.Close()
-		}
-		for _, d := range dbs {
-			d.Close()
-		}
-	}()
-
-	rdev := simdisk.New("router-2pc", simdisk.Config{})
-	makeRouter := func() (*shard.Router, error) {
-		multi, err := client.DialMulti("tcp", addrs, client.Config{
-			Window: cfg.Window, KeepAlive: 25 * time.Millisecond,
-			BackoffMin: time.Millisecond, BackoffMax: 20 * time.Millisecond,
-		})
+	e.part, e.opaque = c.cluster.Partitioner(), true
+	for i := range c.dbs {
+		db, err := pacman.Launch(c.cluster.ShardBlueprint(i), c.shardOptions(e))
 		if err != nil {
 			return nil, err
 		}
-		return shard.NewRouter(cluster, multi, rdev, shard.RouterConfig{
-			QueueCap: 4 * cfg.Clients * cfg.Window, RetryBackoff: time.Millisecond,
-		})
+		c.dbs[i] = db
+		c.srvs[i] = wire.NewServer(wire.ServerConfig{Workers: e.cfg.Workers, Queue: 4 * e.cfg.Workers, Window: wireInFlight})
+		if c.addrs[i], err = listen(c.srvs[i], db, "tcp", "127.0.0.1:0"); err != nil {
+			return nil, err
+		}
 	}
-	router, err := makeRouter()
-	if err != nil {
-		return st, err
-	}
-	defer func() { router.Close() }()
-	rsrv := wire.NewServer(wire.ServerConfig{Window: cfg.Window})
-	rsrv.AttachBackend(router)
-	bound, err := rsrv.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return st, err
-	}
-	front := bound.String()
-	defer rsrv.Close()
+	e.onClose(func() {
+		for _, s := range c.srvs {
+			s.Close()
+		}
+		for _, d := range c.dbs {
+			d.Close()
+		}
+	})
 
-	// The prober outlives every kill: its redial loop must find each
-	// recovered incarnation of the router.
-	prober, err := client.Dial("tcp", front, client.Config{
-		Window: 4, BackoffMin: time.Millisecond, BackoffMax: 20 * time.Millisecond,
+	var err error
+	if c.router, err = c.startRouter(e); err != nil {
+		return nil, err
+	}
+	// Closing the router's server closes its backend, the current router.
+	c.rsrv = wire.NewServer(wire.ServerConfig{Window: wireInFlight})
+	c.rsrv.AttachBackend(c.router)
+	bound, err := c.rsrv.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	c.front = bound.String()
+	e.onClose(c.rsrv.Close)
+	if c.prober, err = dialProber("tcp", c.front); err != nil {
+		return nil, err
+	}
+	e.onClose(c.prober.Close)
+	return c, nil
+}
+
+func (c *clusterTarget) shardOptions(e *engine) pacman.Options {
+	return c.cluster.ShardOptions(pacman.Options{
+		Logging:       e.cfg.Logging,
+		Devices:       2,
+		EpochInterval: time.Millisecond,
+		MaxRetries:    maxRetries,
+	})
+}
+
+func (c *clusterTarget) startRouter(e *engine) (*shard.Router, error) {
+	multi, err := client.DialMulti("tcp", c.addrs, client.Config{
+		Window: wireInFlight, KeepAlive: 25 * time.Millisecond,
+		BackoffMin: time.Millisecond, BackoffMax: 20 * time.Millisecond,
 	})
 	if err != nil {
-		return st, err
+		return nil, err
 	}
-	defer prober.Close()
+	return shard.NewRouter(c.cluster, multi, c.rdev, shard.RouterConfig{
+		QueueCap: 4 * e.cfg.Clients * wireInFlight, RetryBackoff: time.Millisecond,
+	})
+}
 
-	var killLog []string
-	violation := func(cycle int, faults []string) error {
-		return &Violation{Seed: cfg.Seed, Cycle: cycle, Cfg: cfg.Config, Plans: killLog, Faults: faults}
+// serve drives the budget through the router while the seeded victim dies
+// mid-traffic. Either way the victim is restarted in place and the rest of
+// the budget drains against the recovered cluster — the frontside clients
+// redial the router, the router's backside links redial a restarted shard,
+// and stuck 2PC deliveries retry until their participant is back.
+func (c *clusterTarget) serve(e *engine, cycle int) ([]*journal, error) {
+	clients, err := dialLoad(e.cfg.Clients, "tcp", c.front, wireInFlight)
+	if err != nil {
+		return nil, err
 	}
+	defer func() {
+		for _, cl := range clients {
+			cl.Close()
+		}
+	}()
+	l := e.drive(cycle, wireInFlight, func(i int, name string, args pacman.Args) waiter {
+		return clients[i].Submit(name, args)
+	}, nil)
 
-	for cycle := 0; cycle < cfg.Cycles; cycle++ {
-		st.Cycles = cycle + 1
-
-		clients := make([]*client.Client, cfg.Clients)
-		for i := range clients {
-			c, err := client.Dial("tcp", front, client.Config{
-				Window: cfg.Window, BackoffMin: time.Millisecond, BackoffMax: 10 * time.Millisecond,
-			})
-			if err != nil {
-				return st, fmt.Errorf("torture: dial load client %d: %w", i, err)
-			}
-			clients[i] = c
+	time.Sleep(time.Duration(1+e.rng.Intn(4)) * time.Millisecond)
+	if cycle%2 == 0 {
+		t := e.rng.Intn(clusterShards)
+		e.plans = append(e.plans, fmt.Sprintf("cycle %d: kill shard %d mid-traffic", cycle, t))
+		e.st.ShardKills++
+		c.srvs[t].Kill()
+		c.dbs[t].Crash()
+		db, res, err := pacman.Restart(c.dbs[t].Devices(), c.cluster.ShardBlueprint(t), pacman.RecoverConfig{
+			Threads: recoveryThreads,
+			Serve:   c.shardOptions(e),
+		})
+		if err != nil {
+			return nil, e.violation(cycle, fmt.Sprintf("shard %d Restart failed: %v", t, err))
 		}
-
-		var budget atomic.Int64
-		budget.Store(int64(cfg.TxnsPerCycle))
-		done := make(chan struct{})
-		js := make([]*journal, cfg.Clients)
-		var wg sync.WaitGroup
-		for c := 0; c < cfg.Clients; c++ {
-			j := &journal{}
-			js[c] = j
-			wg.Add(1)
-			go func(c int, j *journal) {
-				defer wg.Done()
-				crng := rand.New(rand.NewSource(cfg.Seed ^ int64(cycle)*7919 ^ int64(c)*104729))
-				submit := func(name string, args pacman.Args) waiter { return clients[c].Submit(name, args) }
-				var window []pending
-				for budget.Add(-1) >= 0 {
-					p := h.clusterTxn(crng, submit, cluster.Partitioner())
-					window = append(window, p)
-					if len(window) >= cfg.Window {
-						settleCluster(j, window[0])
-						window = window[1:]
-					}
-				}
-				for _, p := range window {
-					settleCluster(j, p)
-				}
-			}(c, j)
+		c.dbs[t] = db
+		e.st.Replayed = res.Entries
+		if _, err := listen(c.srvs[t], db, "tcp", c.addrs[t]); err != nil {
+			return nil, err
 		}
-		go func() { wg.Wait(); close(done) }()
-
-		// The seeded kill, mid-traffic. Either way the victim is restarted
-		// in place and the remaining budget drains against the recovered
-		// cluster — the frontside clients redial the router, the router's
-		// backside links redial a restarted shard, and stuck 2PC deliveries
-		// retry until their participant is back.
-		time.Sleep(time.Duration(1+rng.Intn(4)) * time.Millisecond)
-		if cycle%2 == 0 {
-			t := rng.Intn(cfg.Shards)
-			killLog = append(killLog, fmt.Sprintf("cycle %d: kill shard %d mid-traffic", cycle, t))
-			st.ShardKills++
-			srvs[t].Kill()
-			dbs[t].Crash()
-			db2, res, err := pacman.Restart(devs[t], bps[t], pacman.RecoverConfig{
-				Threads: cfg.Threads,
-				Serve:   shardOpts(),
-			})
-			if err != nil {
-				return st, violation(cycle, []string{fmt.Sprintf("shard %d Restart failed: %v", t, err)})
-			}
-			dbs[t] = db2
-			st.Replayed = res.Entries
-			if err := srvs[t].Attach(db2); err != nil {
-				return st, err
-			}
-			if _, err := srvs[t].Listen("tcp", addrs[t]); err != nil {
-				return st, err
-			}
-		} else {
-			killLog = append(killLog, fmt.Sprintf("cycle %d: kill router mid-traffic", cycle))
-			st.RouterKills++
-			rsrv.Kill()
-			router.Close()
-			rdev.Crash() // the unsynced decision-log tail (end records) is lost
-			router, err = makeRouter()
-			if err != nil {
-				return st, violation(cycle, []string{fmt.Sprintf("router recovery failed: %v", err)})
-			}
-			rsrv.AttachBackend(router)
-			if _, err := rsrv.Listen("tcp", front); err != nil {
-				return st, err
-			}
+	} else {
+		e.plans = append(e.plans, fmt.Sprintf("cycle %d: kill router mid-traffic", cycle))
+		e.st.RouterKills++
+		c.rsrv.Kill()
+		c.router.Close()
+		c.rdev.Crash() // the unsynced decision-log tail (end records) is lost
+		router, err := c.startRouter(e)
+		if err != nil {
+			return nil, e.violation(cycle, fmt.Sprintf("router recovery failed: %v", err))
 		}
-
-		<-done
-		for _, c := range clients {
-			c.Close()
+		c.router = router
+		c.rsrv.AttachBackend(router)
+		if _, err := c.rsrv.Listen("tcp", c.front); err != nil {
+			return nil, err
 		}
-		st.Stamps = int(h.stampsUsed.Load())
-
-		// Client futures resolve at decision time; wait for the decide
-		// pieces themselves to land before auditing the 2PC status tables.
-		if !router.Quiesce(5 * time.Second) {
-			return st, violation(cycle, []string{"router failed to quiesce decide deliveries within 5s"})
-		}
-
-		if faults := h.oracle.absorb(js, st); len(faults) > 0 {
-			return st, violation(cycle, faults)
-		}
-		if faults := h.oracle.verifyCluster(dbs); len(faults) > 0 {
-			return st, violation(cycle, faults)
-		}
-		// Serving proof through the long-lived prober: a durable stamp must
-		// commit through the recovered router/shard path. Cluster epochs are
-		// per-shard clocks, so the structural epoch floor is trivially zero.
-		if fault := h.proveServingVia(prober.Exec, &pacman.RecoveryResult{}, st); fault != "" {
-			return st, violation(cycle, []string{fault})
-		}
-		h.logf(cfg.Config, "%s: ok", killLog[len(killLog)-1])
 	}
-	return st, nil
+	<-l.done
+	return l.js, nil
+}
+
+// recover audits the cluster: the victim came back in place mid-traffic,
+// so what is left is to wait for the router's decide pieces to land —
+// client futures resolve at decision time — before auditing the 2PC status
+// tables. Cluster epochs are per-shard clocks, so the structural epoch
+// floor the serving proof checks is trivially zero.
+func (c *clusterTarget) recover(e *engine, cycle int) (*pacman.RecoveryResult, error) {
+	if !c.router.Quiesce(5 * time.Second) {
+		return nil, e.violation(cycle, "router failed to quiesce decide deliveries within 5s")
+	}
+	return &pacman.RecoveryResult{}, e.violation(cycle, e.oracle.verifyCluster(c.dbs)...)
+}
+
+func (c *clusterTarget) exec(name string, args pacman.Args) (pacman.TS, error) {
+	return c.prober.Exec(name, args)
 }

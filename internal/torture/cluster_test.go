@@ -1,6 +1,9 @@
 package torture
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestClusterTorture runs the sharded-cluster cycle end to end: a 2-shard
 // Smallbank cluster behind a router, with one shard killed mid-traffic on
@@ -8,10 +11,8 @@ import "testing"
 // cluster oracle (cross-shard balance conservation, ledger atomicity,
 // per-gtid 2PC agreement) verified after every recovery.
 func TestClusterTorture(t *testing.T) {
-	st, err := RunCluster(ClusterConfig{
-		Config: Config{Seed: 7, Cycles: 2, TxnsPerCycle: 300, Clients: 4},
-		Shards: 2,
-	})
+	g0 := runtime.NumGoroutine()
+	st, err := RunCluster(Config{Seed: 7, Cycles: 2, TxnsPerCycle: 300, Clients: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,6 +26,7 @@ func TestClusterTorture(t *testing.T) {
 		t.Fatalf("no ledger stamps exercised the atomicity oracle: %s", st)
 	}
 	t.Logf("cluster torture: %s", st)
+	checkNoLeak(t, g0)
 }
 
 // TestClusterTortureSeeds shakes the cluster cycle across a few seeds so
@@ -34,10 +36,7 @@ func TestClusterTortureSeeds(t *testing.T) {
 		t.Skip("multi-seed cluster torture in -short mode")
 	}
 	for _, seed := range []int64{1, 2, 3} {
-		st, err := RunCluster(ClusterConfig{
-			Config: Config{Seed: seed, Cycles: 2, TxnsPerCycle: 200, Clients: 3},
-			Shards: 2,
-		})
+		st, err := RunCluster(Config{Seed: seed, Cycles: 2, TxnsPerCycle: 200, Clients: 3})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -10,8 +10,8 @@
 //     device comes back (detection oracle).
 //   - Stay correct: everything acknowledged under the gray fault, through
 //     the brownout, and across the crash that ends the cycle is durable —
-//     the same ClusterOracle that audits the power-fail cycles absorbs the
-//     gray journals too (durability oracle).
+//     the same oracle that audits the power-fail cycles absorbs the gray
+//     journals too (durability oracle).
 //
 // Each cycle still ends in a full power failure and recovery, so the gray
 // run also proves slow-fault handling composes with crash recovery.
@@ -19,54 +19,21 @@
 package torture
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pacman"
-	"pacman/internal/simdisk"
 )
 
-// GrayConfig tunes one gray-failure torture run (RunGray). The embedded
-// Config keeps its meanings; TxnsPerCycle defaults higher (2000) because
-// shed submissions burn budget too.
-type GrayConfig struct {
-	Config
-	// Deadline is the per-request deadline every submission carries
-	// (default 150ms).
-	Deadline time.Duration
-	// DetectBudget bounds how long the watchdog may take to enter brownout
-	// after a gray fault is armed (default 5s — wall clock, generous so the
-	// race detector and loaded CI cannot flake it; nominal detection is a
-	// few sweep intervals).
-	DetectBudget time.Duration
-	// RecoverBudget bounds the return to healthy after the fault is
-	// disarmed (default 5s).
-	RecoverBudget time.Duration
-}
-
-func (c GrayConfig) withDefaults() GrayConfig {
-	if c.Cycles <= 0 {
-		c.Cycles = 3
-	}
-	if c.TxnsPerCycle <= 0 {
-		c.TxnsPerCycle = 2000
-	}
-	c.Config = c.Config.withDefaults()
-	if c.Deadline <= 0 {
-		c.Deadline = 150 * time.Millisecond
-	}
-	if c.DetectBudget <= 0 {
-		c.DetectBudget = 5 * time.Second
-	}
-	if c.RecoverBudget <= 0 {
-		c.RecoverBudget = 5 * time.Second
-	}
-	return c
-}
+const (
+	// grayDeadline is the per-request deadline every gray submission carries.
+	grayDeadline = 150 * time.Millisecond
+	// grayBudget bounds how long the watchdog may take to enter brownout
+	// after a gray fault is armed, and to return to healthy after it is
+	// disarmed — wall clock, generous so the race detector and loaded CI
+	// cannot flake it; nominal detection is a few sweep intervals.
+	grayBudget = 5 * time.Second
+)
 
 // grayHealth is the tight watchdog tuning a gray run serves under: sweeps
 // every 2ms against a 20ms sync budget, trip after 2 consecutive breaches,
@@ -86,172 +53,64 @@ func grayHealth() pacman.HealthConfig {
 	}
 }
 
-// RunGray executes one gray-failure torture run and returns its stats; the
-// error is a *Violation when an oracle caught a broken promise, or an
-// infrastructure error otherwise.
-func RunGray(cfg GrayConfig) (*Stats, error) {
-	cfg = cfg.withDefaults()
-	hc := grayHealth()
-	cfg.serveHealth = &hc
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	st := &Stats{}
+// grayTarget is RunGray's shape: deadline-bounded traffic starts healthy,
+// the cycle's gray plan is armed mid-traffic, the watchdog must trip
+// (detection oracle), the plan is disarmed and the watchdog must clear, and
+// the cycle ends in the usual power failure so recovery is exercised too.
+// Every incarnation serves under grayHealth, so a fault armed in a later
+// cycle is still detected within the budget.
+type grayTarget struct{ *node }
 
-	// Oversize the stamp ledger: unlike Run, a gray cycle's length is set by
-	// the detection/recovery assertions, not the budget — the post-budget
-	// trickle (see serveGray) can push submissions well past TxnsPerCycle.
-	hcfg := cfg.Config
-	hcfg.TxnsPerCycle *= 4
-	h, err := newHarness(hcfg)
+func openGray(e *engine) (target, error) {
+	// Oversize the stamp ledger: a gray cycle's length is set by the
+	// detection/recovery assertions, not the budget — the post-budget
+	// trickle (see load.admit) can push submissions well past TxnsPerCycle.
+	n, err := openNode(e, 4*e.cfg.TxnsPerCycle, grayHealth())
 	if err != nil {
-		return st, err
+		return nil, err
 	}
-	db, err := pacman.Launch(h.bp, pacman.Options{
-		Logging:       cfg.Logging,
-		Devices:       2,
-		EpochInterval: time.Millisecond,
-		MaxRetries:    1 << 20,
-		Health:        hc,
-	})
-	if err != nil {
-		return st, err
-	}
-	devices := db.Devices()
-
-	var planLog []string
-	logPlan := func(kind string, cycle int, p *simdisk.FaultPlan) {
-		planLog = append(planLog, fmt.Sprintf("cycle %d %s: %s", cycle, kind, p.String()))
-	}
-	violation := func(cycle int, faults []string) error {
-		return &Violation{Seed: cfg.Seed, Cycle: cycle, Cfg: cfg.Config, Plans: planLog, Faults: faults}
-	}
-
-	for cycle := 0; cycle < cfg.Cycles; cycle++ {
-		st.Cycles = cycle + 1
-
-		plan, flavor := grayPlan(rng, devices)
-		logPlan("gray("+flavor+")", cycle, plan)
-		js, fault := h.serveGray(cfg, db, cycle, plan, devices, st)
-		if fault != "" {
-			return st, violation(cycle, []string{fmt.Sprintf("%s under %s", fault, flavor)})
-		}
-		if faults := h.oracle.absorb(js, st); len(faults) > 0 {
-			return st, violation(cycle, faults)
-		}
-
-		if cfg.Hook != nil {
-			cfg.Hook("crashed", cycle, devices, nil)
-		}
-		db2, res, err := h.recoverCycle(cfg.Config, rng, devices, st, cycle, logPlan, violation)
-		if err != nil {
-			return st, err
-		}
-		db = db2
-		st.Replayed = res.Entries
-		if cfg.Hook != nil {
-			cfg.Hook("recovered", cycle, devices, res)
-		}
-		if faults := h.oracle.verify(db, res); len(faults) > 0 {
-			return st, violation(cycle, faults)
-		}
-		if fault := h.proveServing(db, res, st); fault != "" {
-			return st, violation(cycle, []string{fault})
-		}
-		h.logf(cfg.Config, "gray cycle %d (%s): ok (brownouts %d, deadline %d, shed %d)",
-			cycle, flavor, st.Brownouts, st.DeadlineExpired, st.Shed)
-	}
-	db.Close()
-	return st, nil
+	return grayTarget{n}, nil
 }
 
-// serveGray drives one gray cycle: deadline-bounded traffic starts healthy,
-// the gray plan is armed mid-traffic, the watchdog must trip (detection
-// oracle), the plan is disarmed and the watchdog must clear, and the cycle
-// ends in the usual power failure so recovery is exercised too. Returns the
-// settled client journals and a detection-oracle fault ("" when none).
-func (h *harness) serveGray(cfg GrayConfig, db *pacman.DB, cycle int, plan *simdisk.FaultPlan, devices []*pacman.Device, st *Stats) ([]*journal, string) {
-	fe := db.MustFrontend(pacman.FrontendConfig{Workers: cfg.Workers})
-	var budget atomic.Int64
-	budget.Store(int64(cfg.TxnsPerCycle))
-	var stop atomic.Bool
-	done := make(chan struct{})
-	var gc grayCounters
-
-	const maxInFlight = 32
-	js := make([]*journal, cfg.Clients)
-	var wg sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
-		j := &journal{}
-		js[c] = j
-		wg.Add(1)
-		go func(c int, j *journal) {
-			defer wg.Done()
-			crng := rand.New(rand.NewSource(cfg.Seed ^ int64(cycle)*7919 ^ int64(c)*104729 ^ 0x6772617921))
-			submit := func(name string, args pacman.Args) waiter {
-				return fe.SubmitWithin(name, args, cfg.Deadline)
-			}
-			var window []pending
-			for !stop.Load() {
-				switch {
-				case fe.Brownout():
-					// A real client backs off while shed; spinning here would
-					// flood the journal with rejections and starve the
-					// recovery phase of the traffic whose fast syncs decay
-					// the breached latency average.
-					time.Sleep(time.Millisecond)
-				case budget.Add(-1) < 0:
-					// Budget spent: drop to a trickle instead of stopping —
-					// the detection oracle needs syncs still happening after
-					// the fault arms, and the cycle ends when the assertions
-					// do, not when the budget does.
-					time.Sleep(time.Millisecond)
-				}
-				p := h.generate(crng, submit)
-				window = append(window, p)
-				if len(window) >= maxInFlight {
-					settleGray(j, window[0], &gc)
-					window = window[1:]
-				}
-			}
-			for _, p := range window {
-				settleGray(j, p, &gc)
-			}
-		}(c, j)
-	}
-	go func() { wg.Wait(); close(done) }()
+func (g grayTarget) serve(e *engine, cycle int) ([]*journal, error) {
+	db := g.db
+	plan, flavor := grayPlan(e.rng, g.devices)
+	e.logPlan("gray("+flavor+")", cycle, plan)
+	fe := db.MustFrontend(pacman.FrontendConfig{Workers: e.cfg.Workers})
+	l := e.drive(cycle, frontendInFlight, func(_ int, name string, args pacman.Args) waiter {
+		return fe.SubmitWithin(name, args, grayDeadline)
+	}, fe.Brownout)
 
 	// Let healthy traffic flow first so the trip below is attributable to
 	// the armed fault, not startup.
 	time.Sleep(10 * time.Millisecond)
 
 	before := db.Health().Brownouts
-	plan.Arm(devices...)
-	fault := ""
-	if !waitUntil(cfg.DetectBudget, func() bool { return db.Health().Brownouts > before }) {
-		fault = fmt.Sprintf("watchdog failed to enter brownout within %v of arming a gray fault (health %+v)",
-			cfg.DetectBudget, db.Health())
+	plan.Arm(g.devices...)
+	var faults []string
+	if !waitUntil(grayBudget, func() bool { return db.Health().Brownouts > before }) {
+		faults = []string{fmt.Sprintf("watchdog failed to enter brownout within %v of arming a gray fault (health %+v) under %s",
+			grayBudget, db.Health(), flavor)}
 	} else {
 		// Hold the fault past the request deadline so expiry actually fires
 		// under impairment — including the timer path for futures trapped in
 		// a flush whose sync is hung, which nothing else can resolve.
-		time.Sleep(2 * cfg.Deadline)
+		time.Sleep(2 * grayDeadline)
 	}
 	// The device "comes back": hung syncs complete, latency returns to
 	// normal, and the watchdog must clear on its own.
 	plan.Disarm()
-	if fault == "" && !waitUntil(cfg.RecoverBudget, func() bool { return db.Health().State == "healthy" }) {
-		fault = fmt.Sprintf("watchdog failed to return to healthy within %v of the gray fault clearing (health %+v)",
-			cfg.RecoverBudget, db.Health())
+	if faults == nil && !waitUntil(grayBudget, func() bool { return db.Health().State == "healthy" }) {
+		faults = []string{fmt.Sprintf("watchdog failed to return to healthy within %v of the gray fault clearing (health %+v) under %s",
+			grayBudget, db.Health(), flavor)}
 	}
-	st.Brownouts += db.Health().Brownouts - before
+	e.st.Brownouts += db.Health().Brownouts - before
 
-	stop.Store(true)
-	db.Crash() // resolves outstanding futures; clients drain on that
-	<-done
+	l.stop.Store(true)
+	g.crash() // resolves outstanding futures; clients drain on that
+	<-l.done
 	fe.Close()
-	st.Stamps = int(h.stampsUsed.Load())
-	st.DeadlineExpired += gc.deadline.Load()
-	st.Shed += gc.shed.Load()
-	return js, fault
+	return l.js, e.violation(cycle, faults...)
 }
 
 // waitUntil polls cond every 2ms until it holds or the budget elapses.
@@ -264,77 +123,4 @@ func waitUntil(budget time.Duration, cond func() bool) bool {
 		time.Sleep(2 * time.Millisecond)
 	}
 	return cond()
-}
-
-// grayCounters accumulates the gray-only classifications across client
-// goroutines (the journal is per-client; these are per-run).
-type grayCounters struct {
-	deadline atomic.Int64
-	shed     atomic.Int64
-}
-
-// grayLivenessGrace is how far past its deadline a future may stay
-// unresolved before the liveness oracle calls it a hang. Expiry is a
-// per-future timer, so the nominal overshoot is timer slack plus one
-// scheduling quantum; the grace adds generous headroom for the race
-// detector and loaded CI.
-const grayLivenessGrace = time.Second
-
-// settleGray classifies one gray-cycle future into the journal. It extends
-// settle with the two outcomes gray faults produce — ErrDeadlineExceeded
-// (execution unknown: the timer may have beaten a commit that still lands
-// durably, so the oracle widens exactly as for a crash) and ErrBrownout
-// (shed at admission, never executed) — and enforces the liveness contract
-// first: a deadline-carrying future still unresolved grayLivenessGrace past
-// its deadline has broken the fail-fast promise.
-func settleGray(j *journal, p pending, gc *grayCounters) {
-	type deadliner interface {
-		Done() <-chan struct{}
-		Deadline() time.Time
-	}
-	if r, ok := p.fut.(deadliner); ok {
-		if dl := r.Deadline(); !dl.IsZero() {
-			select {
-			case <-r.Done():
-			case <-time.After(time.Until(dl.Add(grayLivenessGrace))):
-				select {
-				case <-r.Done(): // resolved on the race — fine
-				default:
-					j.violations = append(j.violations, fmt.Sprintf(
-						"liveness: future still unresolved %v past its deadline", grayLivenessGrace))
-					// Abandon rather than deadlock the harness; account as a
-					// maybe so the durability oracle stays sound.
-					grayMaybe(j, p)
-					return
-				}
-			}
-		}
-	}
-	_, err := p.fut.Wait()
-	switch {
-	case errors.Is(err, pacman.ErrDeadlineExceeded):
-		gc.deadline.Add(1)
-		grayMaybe(j, p)
-	case errors.Is(err, pacman.ErrBrownout):
-		gc.shed.Add(1)
-		j.rejected++ // never executed: no effects, no slack
-	default:
-		settle(j, p)
-	}
-}
-
-// grayMaybe widens the oracle bounds for an outcome the caller gave up on
-// but the system may still complete — the deadline twin of settle's
-// crash-sentinel branch.
-func grayMaybe(j *journal, p pending) {
-	j.maybe++
-	if p.lo < 0 {
-		j.maybeLo += p.lo
-	}
-	if p.hi > 0 {
-		j.maybeHi += p.hi
-	}
-	if p.stamp >= 0 {
-		j.stampsMaybe = append(j.stampsMaybe, stampRec{pair: p.stamp, val: p.stampVal})
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 
 	"pacman/internal/simdisk"
 )
@@ -16,7 +15,7 @@ import (
 // under -race.
 func TestRunGrayShort(t *testing.T) {
 	g0 := runtime.NumGoroutine()
-	st, err := RunGray(GrayConfig{Config: Config{Seed: 11, Cycles: 2, TxnsPerCycle: 600}})
+	st, err := RunGray(Config{Seed: 11, Cycles: 2, TxnsPerCycle: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,21 +27,7 @@ func TestRunGrayShort(t *testing.T) {
 	}
 	t.Logf("stats: %s", st)
 
-	// Goroutine-leak guard: everything RunGray started (watchdog sweeps,
-	// loggers, frontends, clients, deadline timers) must be gone. Poll —
-	// exits are asynchronous — and allow slack for runtime/test goroutines.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= g0+4 {
-			break
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutine leak: %d before run, %d after\n%s",
-				g0, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	checkNoLeak(t, g0)
 }
 
 // TestGrayPlanDeterministic: gray plans derive purely from the cycle RNG,

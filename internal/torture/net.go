@@ -2,57 +2,22 @@ package torture
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pacman"
 	"pacman/client"
-	"pacman/internal/simdisk"
 	"pacman/internal/wire"
 )
 
-// NetConfig tunes a network torture run: the in-process oracle machinery
-// (fault plans, journals, durability/atomicity verification) driven through
-// the wire protocol instead of a Frontend, with the daemon killed mid-
-// conversation every cycle.
-type NetConfig struct {
-	Config
-	// Network/Addr pick the daemon's endpoint. The default is a unix socket
-	// under the system temp directory (unique per process and seed); "tcp"
-	// with addr "127.0.0.1:0" works too — the bound address is reused across
-	// the run's restarts either way.
-	Network, Addr string
-	// Window is the per-connection in-flight window (default 32).
-	Window int
-}
+// netWindow is the single daemon's per-connection in-flight window.
+const netWindow = 32
 
-func (c NetConfig) withDefaults() NetConfig {
-	c.Config = c.Config.withDefaults()
-	if c.Network == "" {
-		c.Network = "unix"
-	}
-	if c.Addr == "" {
-		if c.Network == "unix" {
-			c.Addr = filepath.Join(os.TempDir(), fmt.Sprintf("pacman-torture-%d-%d.sock", os.Getpid(), c.Seed))
-		} else {
-			c.Addr = "127.0.0.1:0"
-		}
-	}
-	if c.Window <= 0 {
-		c.Window = 32
-	}
-	return c
-}
-
-// RunNet executes one network torture run: Launch → serve the wire protocol
-// → kill the daemon mid-load (severed connections, crashed instance, power-
-// failed devices) → Restart → re-Attach and re-Listen on the same address →
-// verify the oracle → prove the recovered incarnation serves over the
-// socket — for cfg.Cycles cycles.
+// netTarget is RunNet's shape: Launch → serve the wire protocol → kill the
+// daemon mid-load (severed connections, crashed instance, power-failed
+// devices) → Restart → re-Attach and re-Listen on the same address → verify
+// the oracle → prove the recovered incarnation serves over the socket.
 //
 // Two client populations exercise the two failure contracts: per-cycle load
 // clients whose in-flight submissions must settle as exactly durable /
@@ -60,140 +25,112 @@ func (c NetConfig) withDefaults() NetConfig {
 // client that persists across every crash — its reconnect-with-backoff loop
 // must find each recovered incarnation, and its synchronous stamp is the
 // serving proof.
-func RunNet(cfg NetConfig) (*Stats, error) {
-	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	st := &Stats{}
-
-	h, err := newHarness(cfg.Config)
-	if err != nil {
-		return st, err
-	}
-	db, err := pacman.Launch(h.bp, pacman.Options{
-		Logging:       cfg.Logging,
-		Devices:       2,
-		EpochInterval: time.Millisecond,
-		MaxRetries:    1 << 20,
-	})
-	if err != nil {
-		return st, err
-	}
-	devices := db.Devices()
-
-	srv := wire.NewServer(wire.ServerConfig{Workers: cfg.Workers, Queue: 4 * cfg.Workers, Window: cfg.Window})
-	if err := srv.Attach(db); err != nil {
-		return st, err
-	}
-	bound, err := srv.Listen(cfg.Network, cfg.Addr)
-	if err != nil {
-		return st, err
-	}
-	addr := bound.String()
-	defer func() {
-		srv.Close()
-		if cfg.Network == "unix" {
-			os.Remove(addr)
-		}
-	}()
-
-	prober, err := client.Dial(cfg.Network, addr, client.Config{
-		Window: 4, BackoffMin: time.Millisecond, BackoffMax: 20 * time.Millisecond,
-	})
-	if err != nil {
-		return st, err
-	}
-	defer prober.Close()
-
-	var planLog []string
-	logPlan := func(kind string, cycle int, p *simdisk.FaultPlan) {
-		planLog = append(planLog, fmt.Sprintf("cycle %d %s: %s", cycle, kind, p.String()))
-	}
-	violation := func(cycle int, faults []string) error {
-		return &Violation{Seed: cfg.Seed, Cycle: cycle, Cfg: cfg.Config, Plans: planLog, Faults: faults}
-	}
-
-	for cycle := 0; cycle < cfg.Cycles; cycle++ {
-		st.Cycles = cycle + 1
-
-		plan := servePlan(rng, devices)
-		tripped := make(chan struct{})
-		if plan != nil {
-			plan.OnTrip = func(dev, op string) { close(tripped) }
-			logPlan("serve", cycle, plan)
-			plan.Arm(devices...)
-		} else {
-			logPlan("serve", cycle, nil)
-		}
-		takeCkpt := rng.Intn(100) < cfg.CheckpointPct
-		js, serveErr := h.serveNet(cfg, db, srv, addr, cycle, tripped, takeCkpt, st)
-		if plan != nil {
-			if plan.Tripped() {
-				st.ServeTrips++
-			}
-			plan.Disarm()
-		}
-		if serveErr != nil {
-			return st, serveErr
-		}
-		if faults := h.oracle.absorb(js, st); len(faults) > 0 {
-			return st, violation(cycle, faults)
-		}
-
-		if cfg.Hook != nil {
-			cfg.Hook("crashed", cycle, devices, nil)
-		}
-
-		db2, res, err := h.recoverCycle(cfg.Config, rng, devices, st, cycle, logPlan, violation)
-		if err != nil {
-			return st, err
-		}
-		db = db2
-		st.Replayed = res.Entries
-		if cfg.Hook != nil {
-			cfg.Hook("recovered", cycle, devices, res)
-		}
-
-		if faults := h.oracle.verify(db, res); len(faults) > 0 {
-			return st, violation(cycle, faults)
-		}
-
-		// Back on the air: the same Server object adopts the recovered
-		// incarnation and reopens the same address (Listen handles the stale
-		// unix socket file the killed incarnation left behind).
-		if err := srv.Attach(db); err != nil {
-			return st, err
-		}
-		if _, err := srv.Listen(cfg.Network, addr); err != nil {
-			return st, err
-		}
-
-		// The serving proof goes through the long-lived prober: its redial
-		// loop has to find the new incarnation, and the stamp must commit
-		// durably above the recovered pepoch — crash→Restart→serve, observed
-		// entirely from the client side of the socket.
-		if fault := h.proveServingVia(prober.Exec, res, st); fault != "" {
-			return st, violation(cycle, []string{fault})
-		}
-		h.logf(cfg.Config, "cycle %d: ok over %s (pepoch %d, %d entries, ckpt %d)",
-			cycle, cfg.Network, res.Pepoch, res.Entries, res.CheckpointID)
-	}
-	srv.Drain(10 * time.Second)
-	db.Close()
-	return st, nil
+type netTarget struct {
+	*node
+	srv           *wire.Server
+	network, addr string
+	prober        *client.Client
 }
 
-// serveNet drives one cycle's traffic through fresh wire clients until the
-// budget runs out or the armed plan trips, then kills the daemon the hard
-// way: listeners and connections severed mid-frame, the instance crashed,
-// the devices power-failed. The load clients are then closed so every
-// parked submission settles (ErrClientClosed = never executed) and the
-// journals can be classified before recovery runs.
-func (h *harness) serveNet(cfg NetConfig, db *pacman.DB, srv *wire.Server, addr string, cycle int,
-	tripped <-chan struct{}, takeCkpt bool, st *Stats) ([]*journal, error) {
-	clients := make([]*client.Client, cfg.Clients)
+// openNet puts the daemon on network: a unix socket under the system temp
+// directory (unique per process and seed), or an ephemeral loopback TCP
+// port. The bound address is reused across the run's restarts.
+func openNet(e *engine, network string) (target, error) {
+	n, err := openNode(e, e.cfg.TxnsPerCycle, pacman.HealthConfig{})
+	if err != nil {
+		return nil, err
+	}
+	addr := "127.0.0.1:0"
+	if network == "unix" {
+		addr = filepath.Join(os.TempDir(), fmt.Sprintf("pacman-torture-%d-%d.sock", os.Getpid(), e.cfg.Seed))
+	}
+	t := &netTarget{node: n, network: network,
+		srv: wire.NewServer(wire.ServerConfig{Workers: e.cfg.Workers, Queue: 4 * e.cfg.Workers, Window: netWindow})}
+	if t.addr, err = listen(t.srv, n.db, network, addr); err != nil {
+		return nil, err
+	}
+	e.onClose(func() {
+		t.srv.Close()
+		if network == "unix" {
+			os.Remove(t.addr)
+		}
+	})
+	if t.prober, err = dialProber(network, t.addr); err != nil {
+		return nil, err
+	}
+	e.onClose(t.prober.Close)
+	return t, nil
+}
+
+func (t *netTarget) serve(e *engine, cycle int) ([]*journal, error) {
+	tripped, ckpt, disarm := e.armServe(cycle, t.devices)
+	defer disarm()
+	clients, err := dialLoad(e.cfg.Clients, t.network, t.addr, netWindow)
+	if err != nil {
+		return nil, err
+	}
+	l := e.drive(cycle, wireInFlight, func(c int, name string, args pacman.Args) waiter {
+		return clients[c].Submit(name, args)
+	}, nil)
+	if ckpt {
+		e.checkpoint(t.db, cycle)
+	}
+	select {
+	case <-tripped:
+	case <-l.done:
+	}
+	l.stop.Store(true)
+	// The daemon dies: connections sever mid-frame, then the instance
+	// crashes and the devices lose their unsynced tails. In-flight futures
+	// resolve ErrConnLost; a submission parked pre-send resolves
+	// ErrClientClosed when its (per-cycle) client closes below.
+	t.srv.Kill()
+	t.crash()
+	for _, c := range clients {
+		c.Close()
+	}
+	<-l.done
+	return l.js, nil
+}
+
+// recover restarts the instance, verifies it, and puts it back on the air:
+// the same Server object adopts the recovered incarnation and reopens the
+// same address (Listen handles the stale unix socket file the killed
+// incarnation left behind).
+func (t *netTarget) recover(e *engine, cycle int) (*pacman.RecoveryResult, error) {
+	res, err := t.node.recover(e, cycle)
+	if err == nil {
+		_, err = listen(t.srv, t.db, t.network, t.addr)
+	}
+	return res, err
+}
+
+// listen attaches db to srv and opens addr, returning the bound address.
+func listen(srv *wire.Server, db *pacman.DB, network, addr string) (string, error) {
+	if err := srv.Attach(db); err != nil {
+		return "", err
+	}
+	bound, err := srv.Listen(network, addr)
+	if err != nil {
+		return "", err
+	}
+	return bound.String(), nil
+}
+
+// exec proves serving through the long-lived prober: its redial loop has
+// to find the new incarnation — crash→Restart→serve, observed entirely from
+// the client side of the socket.
+func (t *netTarget) exec(name string, args pacman.Args) (pacman.TS, error) {
+	return t.prober.Exec(name, args)
+}
+
+// dialLoad opens a cycle's load clients; on failure it closes the ones
+// already open.
+func dialLoad(n int, network, addr string, window int) ([]*client.Client, error) {
+	clients := make([]*client.Client, n)
 	for i := range clients {
-		c, err := client.Dial(cfg.Network, addr, client.Config{
-			Window: cfg.Window, BackoffMin: time.Millisecond, BackoffMax: 10 * time.Millisecond,
+		c, err := client.Dial(network, addr, client.Config{
+			Window: window, BackoffMin: time.Millisecond, BackoffMax: 10 * time.Millisecond,
 		})
 		if err != nil {
 			for _, prev := range clients[:i] {
@@ -203,63 +140,12 @@ func (h *harness) serveNet(cfg NetConfig, db *pacman.DB, srv *wire.Server, addr 
 		}
 		clients[i] = c
 	}
+	return clients, nil
+}
 
-	var budget atomic.Int64
-	budget.Store(int64(cfg.TxnsPerCycle))
-	var stop atomic.Bool
-	done := make(chan struct{})
-
-	const maxInFlight = 16
-	js := make([]*journal, cfg.Clients)
-	var wg sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
-		j := &journal{}
-		js[c] = j
-		wg.Add(1)
-		go func(c int, j *journal) {
-			defer wg.Done()
-			crng := rand.New(rand.NewSource(cfg.Seed ^ int64(cycle)*7919 ^ int64(c)*104729))
-			submit := func(name string, args pacman.Args) waiter { return clients[c].Submit(name, args) }
-			var window []pending
-			for !stop.Load() && budget.Add(-1) >= 0 {
-				p := h.generate(crng, submit)
-				window = append(window, p)
-				if len(window) >= maxInFlight {
-					settle(j, window[0])
-					window = window[1:]
-				}
-			}
-			for _, p := range window {
-				settle(j, p)
-			}
-		}(c, j)
-	}
-	go func() { wg.Wait(); close(done) }()
-
-	// Mid-traffic checkpoint, inside the fault window.
-	if takeCkpt {
-		time.Sleep(time.Duration(1+cycle%3) * time.Millisecond)
-		if err := db.Checkpoint(); err == nil {
-			st.Checkpoints++
-		}
-	}
-
-	select {
-	case <-tripped:
-		stop.Store(true)
-	case <-done:
-	}
-	stop.Store(true)
-	// The daemon dies: connections sever mid-frame, then the instance
-	// crashes and the devices lose their unsynced tails. In-flight futures
-	// resolve ErrConnLost; a submission parked pre-send resolves
-	// ErrClientClosed when its (per-cycle) client closes below.
-	srv.Kill()
-	db.Crash()
-	for _, c := range clients {
-		c.Close()
-	}
-	<-done
-	st.Stamps = int(h.stampsUsed.Load())
-	return js, nil
+// dialProber opens the client that outlives every kill.
+func dialProber(network, addr string) (*client.Client, error) {
+	return client.Dial(network, addr, client.Config{
+		Window: 4, BackoffMin: time.Millisecond, BackoffMax: 20 * time.Millisecond,
+	})
 }

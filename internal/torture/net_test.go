@@ -1,6 +1,7 @@
 package torture
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -10,9 +11,8 @@ import (
 // that survives every outage — all under the same durability/atomicity
 // oracle as the in-process runs.
 func TestRunNetShort(t *testing.T) {
-	st, err := RunNet(NetConfig{
-		Config: Config{Seed: 42, Cycles: 3, TxnsPerCycle: 200, ForceRecoveryCrash: true},
-	})
+	g0 := runtime.NumGoroutine()
+	st, err := RunNet(Config{Seed: 42, Cycles: 3, TxnsPerCycle: 200, ForceRecoveryCrash: true}, "unix")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,15 +23,13 @@ func TestRunNetShort(t *testing.T) {
 		t.Fatalf("forced recovery crash never happened: %s", st)
 	}
 	t.Logf("stats: %s", st)
+	checkNoLeak(t, g0)
 }
 
 // TestRunNetTCP: the same cycle over loopback TCP, proving nothing in the
 // crash→Restart→serve path depends on unix-socket semantics.
 func TestRunNetTCP(t *testing.T) {
-	st, err := RunNet(NetConfig{
-		Config:  Config{Seed: 7, Cycles: 2, TxnsPerCycle: 120},
-		Network: "tcp",
-	})
+	st, err := RunNet(Config{Seed: 7, Cycles: 2, TxnsPerCycle: 120}, "tcp")
 	if err != nil {
 		t.Fatal(err)
 	}

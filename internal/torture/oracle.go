@@ -1,9 +1,13 @@
 package torture
 
 import (
+	"errors"
 	"fmt"
+	"time"
 
 	"pacman"
+	"pacman/client"
+	"pacman/internal/proc"
 	"pacman/internal/shard"
 )
 
@@ -14,13 +18,14 @@ import (
 //
 //   - acked: resolved nil — the system PROMISED durability. Its effects must
 //     be present after every later recovery, exactly once.
-//   - maybe: resolved ErrCrashed/ErrClosed — executed, but the crash beat
+//   - maybe: resolved ErrCrashed/ErrClosed/ErrConnLost/ErrDeadlineExceeded
+//     — executed, but the crash, the lost connection or the deadline beat
 //     the acknowledgment. Atomicity still binds it: its effects must be
 //     fully present or fully absent, never partial, and whichever way the
 //     first post-crash recovery lands must stay that way forever (a dropped
 //     ghost must never resurrect).
-//   - none: rejected before execution (closed frontend) or rolled back
-//     (explicit abort) — no effects, ever.
+//   - none: rejected before execution (closed frontend or client, brownout
+//     shed) or rolled back (explicit abort) — no effects, ever.
 //
 // Two read-back checks enforce this against the recovered state:
 //
@@ -42,17 +47,19 @@ import (
 // count accounts for every acked logging transaction (log batches are
 // never truncated in these runs).
 
-// stamp status values.
+// stampStatus is what the oracle holds a ledger pair to.
+type stampStatus string
+
 const (
-	stampUnused = iota
-	stampAcked  // durability promised: value must read back
-	stampMaybe  // crash beat the ack: all-or-nothing, then frozen
+	stampUnused stampStatus = ""
+	stampAcked  stampStatus = "acked" // durability promised: value must read back
+	stampMaybe  stampStatus = "maybe" // crash beat the ack: all-or-nothing, then frozen
 )
 
 type stampState struct {
 	val    int64
 	known  int64 // last persisted value the pair is known to hold
-	status int
+	status stampStatus
 }
 
 // journal accumulates one client's outcomes for one cycle; clients write
@@ -63,12 +70,102 @@ type journal struct {
 	maxAckedEpoch    uint32
 	acked            int64
 	ackedLogged      int64
-	maybe            int64
+	maybes           int64
 	rejected         int64
 	aborted          int64
+	deadline         int64 // maybes that were ErrDeadlineExceeded
+	shed             int64 // rejections that were brownout sheds
 	stampsAcked      []stampRec
 	stampsMaybe      []stampRec
 	violations       []string
+}
+
+// ack records a transaction the system promised durable at commit
+// timestamp ts.
+func (j *journal) ack(p pending, ts pacman.TS) {
+	j.acked++
+	j.ackLo += p.lo
+	j.ackHi += p.hi
+	if p.logged {
+		j.ackedLogged++
+		// Only write-bearing acks constrain the recovered pepoch: a
+		// read-only or zero-write commit resolves durable without needing
+		// log coverage of its epoch.
+		j.maxAckedEpoch = max(j.maxAckedEpoch, uint32(ts>>32))
+	}
+	if p.stamp >= 0 {
+		j.stampsAcked = append(j.stampsAcked, stampRec{pair: p.stamp, val: p.stampVal})
+	}
+}
+
+// maybe records an outcome the caller lost but the system may still
+// complete: its effects maybe applied, so the bounds widen.
+func (j *journal) maybe(p pending) {
+	j.maybes++
+	if p.lo < 0 {
+		j.maybeLo += p.lo
+	}
+	if p.hi > 0 {
+		j.maybeHi += p.hi
+	}
+	if p.stamp >= 0 {
+		j.stampsMaybe = append(j.stampsMaybe, stampRec{pair: p.stamp, val: p.stampVal})
+	}
+}
+
+// livenessGrace is how far past its deadline a future may stay unresolved
+// before the liveness oracle calls it a hang. Expiry is a per-future timer,
+// so the nominal overshoot is timer slack plus one scheduling quantum; the
+// grace adds generous headroom for the race detector and loaded CI.
+const livenessGrace = time.Second
+
+// settle waits for one submission and classifies its outcome. It enforces
+// the liveness contract first: a deadline-carrying future still unresolved
+// livenessGrace past its deadline has broken the fail-fast promise. An
+// error the classifier does not know is a violation unless opaque holds it
+// to the maybe contract (see clusterTarget).
+func (j *journal) settle(p pending, opaque bool) {
+	if f, ok := p.fut.(*pacman.Future); ok && !f.Deadline().IsZero() {
+		select {
+		case <-f.Done():
+		case <-time.After(time.Until(f.Deadline().Add(livenessGrace))):
+			select {
+			case <-f.Done(): // resolved on the race — fine
+			default:
+				j.violations = append(j.violations, fmt.Sprintf(
+					"liveness: future still unresolved %v past its deadline", livenessGrace))
+				// Abandon rather than deadlock the harness; account as a
+				// maybe so the durability oracle stays sound.
+				j.maybe(p)
+				return
+			}
+		}
+	}
+	ts, err := p.fut.Wait()
+	switch {
+	case err == nil:
+		j.ack(p, ts)
+	case errors.Is(err, pacman.ErrCrashed), errors.Is(err, pacman.ErrClosed), errors.Is(err, client.ErrConnLost):
+		// ErrConnLost is the network twin of the crash sentinels: the
+		// request was sent, the connection died before the result.
+		j.maybe(p)
+	case errors.Is(err, pacman.ErrDeadlineExceeded):
+		// The timer may have beaten a commit that still lands durably.
+		j.deadline++
+		j.maybe(p)
+	case errors.Is(err, pacman.ErrBrownout):
+		j.shed++
+		j.rejected++
+	case errors.Is(err, pacman.ErrFrontendClosed), errors.Is(err, client.ErrClientClosed):
+		j.rejected++ // never executed: no effects, no slack
+	case p.mayAbort && errors.Is(err, proc.ErrAborted):
+		j.aborted++ // rolled back: no effects
+	case opaque:
+		j.maybe(p)
+	default:
+		j.violations = append(j.violations,
+			fmt.Sprintf("transaction failed with unexpected error: %v", err))
+	}
 }
 
 type stampRec struct {
@@ -76,7 +173,10 @@ type stampRec struct {
 	val  int64
 }
 
-// oracle is the cross-cycle verification state.
+// oracle is the cross-cycle verification state every torture shape shares:
+// a single instance runs verify, where the structural invariants apply too,
+// and the sharded cluster runs verifyCluster, where balance conservation
+// spans every shard and the per-gtid 2PC outcomes must agree.
 type oracle struct {
 	workload string
 	t0       int64 // initial SAVINGS+CHECKING total (smallbank)
@@ -93,24 +193,6 @@ type oracle struct {
 
 func newOracle(workload string, t0 int64, pairs int) *oracle {
 	return &oracle{workload: workload, t0: t0, stamps: make([]stampState, pairs)}
-}
-
-// merge folds one client journal into the oracle after a crash.
-func (o *oracle) merge(j *journal) {
-	o.ackLo += j.ackLo
-	o.ackHi += j.ackHi
-	o.maybeLo += j.maybeLo
-	o.maybeHi += j.maybeHi
-	if j.maxAckedEpoch > o.maxAckedEpoch {
-		o.maxAckedEpoch = j.maxAckedEpoch
-	}
-	o.ackedLogged += j.ackedLogged
-	for _, s := range j.stampsAcked {
-		o.stamps[s.pair] = stampState{val: s.val, known: o.stamps[s.pair].known, status: stampAcked}
-	}
-	for _, s := range j.stampsMaybe {
-		o.stamps[s.pair] = stampState{val: s.val, known: o.stamps[s.pair].known, status: stampMaybe}
-	}
 }
 
 // verify checks the oracle against a freshly recovered, started instance.
@@ -178,7 +260,7 @@ func (o *oracle) verifyLedger(ledger map[uint64]int64) []string {
 		a, b := ledger[pairKeyA(i)], ledger[pairKeyB(i)]
 		if a != b {
 			v = append(v, fmt.Sprintf("ledger pair %d TORN: rows hold %d / %d (stamp value %d, %s) — partial transaction visible",
-				i, a, b, s.val, stampStatusName(s.status)))
+				i, a, b, s.val, s.status))
 			continue
 		}
 		switch s.status {
@@ -200,16 +282,6 @@ func (o *oracle) verifyLedger(ledger map[uint64]int64) []string {
 		}
 	}
 	return v
-}
-
-func stampStatusName(s int) string {
-	switch s {
-	case stampAcked:
-		return "acked"
-	case stampMaybe:
-		return "maybe"
-	}
-	return "unused"
 }
 
 // pairKeyA/B map a ledger pair index to its two row keys (keys start at 1).
@@ -248,37 +320,34 @@ func readLedger(db *pacman.DB) map[uint64]int64 {
 	return out
 }
 
-// ClusterOracle is the verification state shared by every torture shape:
-// the in-process cycle and the single-daemon network cycle run it at width
-// 1 (where verify covers everything), and the sharded cluster cycle runs
-// it across N shards, where balance conservation spans every shard and the
-// per-gtid 2PC outcomes must agree.
-type ClusterOracle struct {
-	*oracle
-	shards int
-}
-
-func newClusterOracle(workload string, t0 int64, pairs, shards int) *ClusterOracle {
-	if shards < 1 {
-		shards = 1
-	}
-	return &ClusterOracle{oracle: newOracle(workload, t0, pairs), shards: shards}
-}
-
-// absorb folds every client journal into the oracle and the run's stats.
+// absorb folds every client journal into the oracle and the run's stats
+// after a crash.
 // It returns the violations a journal recorded at settle time, if any —
 // those are reported before the journal can contaminate the oracle state.
-func (o *ClusterOracle) absorb(js []*journal, st *Stats) []string {
+func (o *oracle) absorb(js []*journal, st *Stats) []string {
 	for _, j := range js {
 		if len(j.violations) > 0 {
 			return j.violations
 		}
-		o.merge(j)
+		o.ackLo += j.ackLo
+		o.ackHi += j.ackHi
+		o.maybeLo += j.maybeLo
+		o.maybeHi += j.maybeHi
+		o.maxAckedEpoch = max(o.maxAckedEpoch, j.maxAckedEpoch)
+		o.ackedLogged += j.ackedLogged
+		for _, s := range j.stampsAcked {
+			o.stamps[s.pair] = stampState{val: s.val, known: o.stamps[s.pair].known, status: stampAcked}
+		}
+		for _, s := range j.stampsMaybe {
+			o.stamps[s.pair] = stampState{val: s.val, known: o.stamps[s.pair].known, status: stampMaybe}
+		}
 		st.Acked += j.acked
 		st.AckedLogged += j.ackedLogged
-		st.Maybe += j.maybe
+		st.Maybe += j.maybes
 		st.Rejected += j.rejected
 		st.Aborted += j.aborted
+		st.DeadlineExpired += j.deadline
+		st.Shed += j.shed
 	}
 	return nil
 }
@@ -290,7 +359,7 @@ func (o *ClusterOracle) absorb(js []*journal, st *Stats) []string {
 // shifts the sum out of the oracle's interval), ledger atomicity (the
 // ledger is unpartitioned, so every stamp routed to shard 0), and per-gtid
 // 2PC outcome agreement across the shards.
-func (o *ClusterOracle) verifyCluster(dbs []*pacman.DB) []string {
+func (o *oracle) verifyCluster(dbs []*pacman.DB) []string {
 	var total int64
 	for _, db := range dbs {
 		total += balanceTotal(db)

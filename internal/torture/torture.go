@@ -5,31 +5,31 @@
 // Restart itself, and verifies after every recovery that the durability
 // and atomicity promises the system made actually held (see oracle.go).
 //
+// One cycle engine runs four shapes of the system under test, each picked by
+// its entry point: in process through a Frontend (Run), one daemon behind the
+// wire protocol (RunNet), gray faults that slow devices without killing them
+// (RunGray), and a sharded cluster behind a 2PC router (RunCluster).
+//
 // Everything derives from one RNG seed: the fault plans, the transaction
 // mix, and the crash cadence. A failing run reports its seed and the armed
 // fault plans, and rerunning with that seed re-arms the identical plans —
-// `pacman-bench -exp torture -seed <s>` is the reproduction command. (Plan
-// derivation is fully deterministic; the exact trip instant still depends
-// on goroutine scheduling, which is why the oracle checks properties that
-// must hold under every interleaving.)
+// the violation prints the command (`pacman-bench -exp torture|net|gray
+// -seed <s> ...`). (Plan derivation is fully deterministic; the exact trip
+// instant still depends on goroutine scheduling, which is why the oracle
+// checks properties that must hold under every interleaving.)
 package torture
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"pacman"
 	"pacman/client"
-	"pacman/internal/proc"
+	"pacman/internal/shard"
 	"pacman/internal/simdisk"
-	"pacman/internal/tuple"
-	"pacman/internal/wal"
 	"pacman/internal/workload"
 )
 
@@ -39,10 +39,23 @@ const (
 	WorkloadTPCC      = "tpcc"
 )
 
-// ledgerTable is the oracle's read-back table, appended to every workload's
-// blueprint. TortureStamp writes one value to both rows of a pair in a
-// single transaction; the oracle reads the pair back after recovery.
-const ledgerTable = "TORTURE_LEDGER"
+// The fixed shape of every run.
+const (
+	// recoveryThreads is Restart's parallelism.
+	recoveryThreads = 2
+	// checkpointPct is the chance that a power-fail cycle takes a checkpoint
+	// in the middle of traffic — in the fault window, so crashes land mid-
+	// checkpoint too.
+	checkpointPct = 50
+	// recoveryCrashPct is the chance that a Restart attempt runs under an
+	// armed fault plan and must be re-entered.
+	recoveryCrashPct = 40
+	// sbCustomers is the Smallbank key space, deliberately hot.
+	sbCustomers = 64
+	// maxRetries lets the hot key space retry hard: a retry storm is load,
+	// not a bug.
+	maxRetries = 1 << 20
+)
 
 // Config tunes one torture run. The zero value of every field has a
 // working default; Seed 0 means seed 1.
@@ -56,39 +69,17 @@ type Config struct {
 	Logging pacman.LogKind
 	// Workload is WorkloadSmallbank (default) or WorkloadTPCC. Smallbank
 	// adds the balance-conservation oracle; both carry the ledger oracle.
+	// RunCluster serves Smallbank only.
 	Workload string
-	// Clients/Workers size the frontend (defaults 4/4).
+	// Clients/Workers size the load and the serving pool (defaults 4/4).
 	Clients, Workers int
 	// TxnsPerCycle bounds a cycle's submissions when no fault trips first
 	// (default 400).
 	TxnsPerCycle int
-	// Threads is the recovery parallelism (default 2).
-	Threads int
-	// CheckpointPct is the chance (percent) that a cycle takes a checkpoint
-	// in the middle of traffic — in the fault window, so crashes land mid-
-	// checkpoint too (default 50).
-	CheckpointPct int
-	// RecoveryCrashPct is the chance (percent) that a Restart runs under an
-	// armed fault plan and must be re-entered (default 40).
-	RecoveryCrashPct int
 	// ForceRecoveryCrash arms a read-triggered power failure on the first
 	// recovery unconditionally, guaranteeing the run exercises a crash
 	// *during* Restart (CI uses this).
 	ForceRecoveryCrash bool
-	// SBCustomers scales Smallbank (default 64, deliberately hot).
-	SBCustomers int
-	// Log, when set, receives per-cycle progress lines.
-	Log io.Writer
-	// Hook, when set, observes cycle stages ("crashed" before the recovery
-	// attempts with res nil, "recovered" after a successful Restart with
-	// res set). Debugging aid; the driver never depends on it.
-	Hook func(stage string, cycle int, devices []*simdisk.Device, res *pacman.RecoveryResult)
-
-	// serveHealth, when set, is the health-watchdog config every restarted
-	// incarnation serves under. The gray run threads its tight budgets
-	// through recovery so a fault armed in a later cycle is still detected
-	// within the detection budget.
-	serveHealth *pacman.HealthConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -112,18 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TxnsPerCycle <= 0 {
 		c.TxnsPerCycle = 400
-	}
-	if c.Threads <= 0 {
-		c.Threads = 2
-	}
-	if c.CheckpointPct == 0 {
-		c.CheckpointPct = 50
-	}
-	if c.RecoveryCrashPct == 0 {
-		c.RecoveryCrashPct = 40
-	}
-	if c.SBCustomers <= 0 {
-		c.SBCustomers = 64
 	}
 	return c
 }
@@ -161,10 +140,10 @@ type Stats struct {
 	// instances and router incarnations killed mid-traffic (zero outside
 	// RunCluster).
 	ShardKills, RouterKills int
-	// Gray-cycle counters (zero outside RunGray): DeadlineExpired counts
-	// futures resolved ErrDeadlineExceeded (execution unknown), Shed counts
-	// never-executed rejections (brownout at admission), and Brownouts
-	// counts watchdog brownout entries observed across the run.
+	// DeadlineExpired counts futures resolved ErrDeadlineExceeded (execution
+	// unknown), Shed counts never-executed rejections (brownout at
+	// admission), and Brownouts counts watchdog brownout entries observed
+	// across the run (all zero outside RunGray).
 	DeadlineExpired, Shed, Brownouts int64
 }
 
@@ -192,574 +171,138 @@ type Violation struct {
 	Cfg    Config
 	Plans  []string
 	Faults []string
+
+	// exp is the pacman-bench experiment that reruns the violating shape;
+	// "" for the cluster shape, which has none.
+	exp string
 }
 
 func (v *Violation) Error() string {
-	return fmt.Sprintf("torture: ORACLE VIOLATION at seed %d, cycle %d (%s/%v):\n  - %s\nfault plans so far:\n  %s\nreproduce: pacman-bench -exp torture -seed %d -iters 1 -cycles %d -txns %d -workers %d -force=%t",
+	repro := fmt.Sprintf("torture.RunCluster(torture.Config%+v)", v.Cfg)
+	if v.exp != "" {
+		repro = fmt.Sprintf("pacman-bench -exp %s -seed %d -iters 1 -cycles %d -txns %d -workers %d -force=%t",
+			v.exp, v.Seed, v.Cfg.Cycles, v.Cfg.TxnsPerCycle, v.Cfg.Workers, v.Cfg.ForceRecoveryCrash)
+	}
+	return fmt.Sprintf("torture: ORACLE VIOLATION at seed %d, cycle %d (%s/%v):\n  - %s\nfault plans so far:\n  %s\nreproduce: %s",
 		v.Seed, v.Cycle, v.Cfg.Workload, v.Cfg.Logging,
-		strings.Join(v.Faults, "\n  - "), strings.Join(v.Plans, "\n  "),
-		v.Seed, v.Cfg.Cycles, v.Cfg.TxnsPerCycle, v.Cfg.Workers, v.Cfg.ForceRecoveryCrash)
+		strings.Join(v.Faults, "\n  - "), strings.Join(v.Plans, "\n  "), repro)
 }
 
-// Run executes one torture run and returns its stats; the error is a
-// *Violation when the oracle caught the system breaking a promise, or an
-// infrastructure error otherwise.
-func Run(cfg Config) (*Stats, error) {
+// Run executes one in-process torture run (see inproc) and returns its
+// stats; the error is a *Violation when the oracle caught the system
+// breaking a promise, or an infrastructure error otherwise.
+func Run(cfg Config) (*Stats, error) { return run(cfg, "torture", openInproc) }
+
+// RunNet executes one network torture run (see netTarget) over network
+// ("unix" or "tcp").
+func RunNet(cfg Config, network string) (*Stats, error) {
+	return run(cfg, "net", func(e *engine) (target, error) { return openNet(e, network) })
+}
+
+// RunGray executes one gray-failure torture run (see grayTarget).
+func RunGray(cfg Config) (*Stats, error) { return run(cfg, "gray", openGray) }
+
+// RunCluster executes one sharded-cluster torture run (see clusterTarget).
+func RunCluster(cfg Config) (*Stats, error) { return run(cfg, "", openCluster) }
+
+// target is what one torture shape supplies to the cycle engine. Its
+// errors are *Violations (see engine.violation) or infrastructure errors.
+type target interface {
+	// serve drives one cycle's load (through engine.drive), runs the shape's
+	// mid-traffic event, and kills the victim; it returns the settled client
+	// journals.
+	serve(e *engine, cycle int) ([]*journal, error)
+	// recover brings the victim back and verifies the recovered state
+	// against the oracle.
+	recover(e *engine, cycle int) (*pacman.RecoveryResult, error)
+	// exec is the synchronous submission that proves the recovered system
+	// serves.
+	exec(name string, args pacman.Args) (pacman.TS, error)
+}
+
+// engine is one torture run: the RNG every fault plan and kill derives
+// from, the plan log a Violation prints, the ledger, the oracle and the
+// stats — everything the four shapes share.
+type engine struct {
+	cfg     Config
+	exp     string
+	rng     *rand.Rand
+	st      *Stats
+	plans   []string
+	closers []func()
+
+	oracle *oracle
+	wk     workload.Workload // TPC-C generator; nil for Smallbank
+	// part places customers on a cluster's shards; nil for one instance.
+	part shard.Partitioner
+	// opaque settles unknown errors as maybes instead of violations (see
+	// clusterTarget).
+	opaque    bool
+	pairs     int
+	nextStamp atomic.Int64
+}
+
+func newEngine(cfg Config, exp string) *engine {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	st := &Stats{}
+	return &engine{cfg: cfg, exp: exp, rng: rand.New(rand.NewSource(cfg.Seed)), st: &Stats{}}
+}
 
-	h, err := newHarness(cfg)
+// run is the cycle loop every shape shares: serve until the victim dies,
+// fold the journals into the oracle, recover and verify, then prove the
+// recovered system serves.
+func run(cfg Config, exp string, open func(*engine) (target, error)) (*Stats, error) {
+	e := newEngine(cfg, exp)
+	defer e.close()
+	t, err := open(e)
 	if err != nil {
-		return st, err
+		return e.st, err
 	}
-	db, err := pacman.Launch(h.bp, pacman.Options{
-		Logging:       cfg.Logging,
-		Devices:       2,
-		EpochInterval: time.Millisecond,
-		// The hot key space retries hard; a retry storm is load, not a bug.
-		MaxRetries: 1 << 20,
-	})
-	if err != nil {
-		return st, err
-	}
-	devices := db.Devices()
-
-	var planLog []string
-	logPlan := func(kind string, cycle int, p *simdisk.FaultPlan) {
-		planLog = append(planLog, fmt.Sprintf("cycle %d %s: %s", cycle, kind, p.String()))
-	}
-	violation := func(cycle int, faults []string) error {
-		return &Violation{Seed: cfg.Seed, Cycle: cycle, Cfg: cfg, Plans: planLog, Faults: faults}
-	}
-
-	for cycle := 0; cycle < cfg.Cycles; cycle++ {
-		st.Cycles = cycle + 1
-
-		// Serve phase: arm this cycle's plan, drive traffic until the plan
-		// trips or the budget runs out, then power-fail whatever is left.
-		plan := servePlan(rng, devices)
-		tripped := make(chan struct{})
-		if plan != nil {
-			plan.OnTrip = func(dev, op string) { close(tripped) }
-			logPlan("serve", cycle, plan)
-			plan.Arm(devices...)
-		} else {
-			logPlan("serve", cycle, nil)
+	for cycle := 0; cycle < e.cfg.Cycles; cycle++ {
+		e.st.Cycles = cycle + 1
+		js, err := t.serve(e, cycle)
+		if err == nil {
+			err = e.violation(cycle, e.oracle.absorb(js, e.st)...)
 		}
-		takeCkpt := rng.Intn(100) < cfg.CheckpointPct
-		js := h.serve(cfg, db, cycle, tripped, takeCkpt, st) // crashes db
-		if plan != nil {
-			if plan.Tripped() {
-				st.ServeTrips++
-			}
-			plan.Disarm()
+		var res *pacman.RecoveryResult
+		if err == nil {
+			res, err = t.recover(e, cycle)
 		}
-		if faults := h.oracle.absorb(js, st); len(faults) > 0 {
-			return st, violation(cycle, faults)
+		if err == nil {
+			err = e.proveServing(cycle, t.exec, res)
 		}
-		if len(h.scanFaults) > 0 {
-			return st, violation(cycle, h.scanFaults)
-		}
-
-		if cfg.Hook != nil {
-			cfg.Hook("crashed", cycle, devices, nil)
-		}
-
-		db2, res, err := h.recoverCycle(cfg, rng, devices, st, cycle, logPlan, violation)
+		e.st.Stamps = e.stampsUsed()
 		if err != nil {
-			return st, err
+			return e.st, err
 		}
-		db = db2
-		st.Replayed = res.Entries
-		if cfg.Hook != nil {
-			cfg.Hook("recovered", cycle, devices, res)
-		}
-
-		// Verify the oracle against the recovered state.
-		if faults := h.oracle.verify(db, res); len(faults) > 0 {
-			return st, violation(cycle, faults)
-		}
-
-		// The restarted instance must serve immediately, with commit
-		// timestamps above the recovered high-water mark; the synchronous
-		// stamp also feeds the next cycle's read-back oracle.
-		if fault := h.proveServing(db, res, st); fault != "" {
-			return st, violation(cycle, []string{fault})
-		}
-		h.logf(cfg, "cycle %d: ok (pepoch %d, %d entries, ckpt %d)", cycle, res.Pepoch, res.Entries, res.CheckpointID)
 	}
-	db.Close()
-	return st, nil
+	return e.st, nil
 }
 
-// recoverCycle is one cycle's recovery phase, shared by the in-process and
-// network runs: Restart, possibly under an armed fault plan; an injected
-// crash re-enters Restart from the crashed state. The last attempt always
-// runs clean, so only a genuine bug can fail it. A non-nil error is either
-// a *Violation (from the violation closure) or an infrastructure error.
-func (h *harness) recoverCycle(cfg Config, rng *rand.Rand, devices []*pacman.Device, st *Stats, cycle int,
-	logPlan func(kind string, cycle int, p *simdisk.FaultPlan),
-	violation func(cycle int, faults []string) error) (*pacman.DB, *pacman.RecoveryResult, error) {
-	const maxAttempts = 4
-	for attempt := 0; ; attempt++ {
-		var rplan *simdisk.FaultPlan
-		inject := attempt < maxAttempts-1 &&
-			(rng.Intn(100) < cfg.RecoveryCrashPct || (cfg.ForceRecoveryCrash && cycle == 0 && attempt == 0))
-		if inject {
-			rplan = recoveryPlan(rng, devices, cfg.ForceRecoveryCrash && cycle == 0 && attempt == 0)
-			logPlan(fmt.Sprintf("recovery attempt %d", attempt), cycle, rplan)
-			rplan.Arm(devices...)
-		} else {
-			// Clean attempt: prove tail repair converges before Restart
-			// runs it for real (double repair is a no-op on round two).
-			pe, err := wal.ReadPepoch(devices[0])
-			if err != nil && !errors.Is(err, simdisk.ErrNotExist) {
-				return nil, nil, violation(cycle, []string{fmt.Sprintf("pepoch unreadable after crash: %v", err)})
-			}
-			if _, err := wal.RepairTail(devices, pe); err != nil {
-				return nil, nil, violation(cycle, []string{fmt.Sprintf("tail repair failed: %v", err)})
-			}
-			if st2, err := wal.RepairTail(devices, pe); err != nil || !st2.Zero() {
-				return nil, nil, violation(cycle, []string{fmt.Sprintf("tail repair did not converge: second pass %+v, err %v", st2, err)})
-			}
-		}
+// onClose registers a release step; close runs them last-registered first.
+func (e *engine) onClose(f func()) { e.closers = append(e.closers, f) }
 
-		serve := pacman.Options{MaxRetries: 1 << 20}
-		if cfg.serveHealth != nil {
-			serve.Health = *cfg.serveHealth
-		}
-		db2, r, err := pacman.Restart(devices, h.bp, pacman.RecoverConfig{
-			Threads: cfg.Threads,
-			Serve:   serve,
-		})
-		if rplan != nil {
-			// Close the race between Restart finishing and the armed
-			// plan tripping on the first post-restart flush: a tripped
-			// plan means the instance is dead no matter what Restart
-			// returned.
-			rplan.Disarm()
-			if rplan.Tripped() {
-				if err == nil {
-					db2.Crash()
-				}
-				for _, d := range devices {
-					d.Crash()
-				}
-				st.RecoveryCrashes++
-				h.logf(cfg, "cycle %d: recovery attempt %d crashed (re-entering)", cycle, attempt)
-				continue
-			}
-			if err != nil && errors.Is(err, simdisk.ErrInjectedRead) {
-				st.TransientReadFaults++
-				h.logf(cfg, "cycle %d: recovery attempt %d hit transient read fault (retrying)", cycle, attempt)
-				continue
-			}
-		}
-		if err != nil {
-			return nil, nil, violation(cycle, []string{fmt.Sprintf("Restart failed with no fault armed: %v", err)})
-		}
-		return db2, r, nil
+func (e *engine) close() {
+	for i := len(e.closers) - 1; i >= 0; i-- {
+		e.closers[i]()
 	}
 }
 
-// harness holds the per-run workload machinery.
-type harness struct {
-	bp     pacman.Blueprint
-	oracle *ClusterOracle
-	// gen generates one transaction; nil stamp-free fallback uses wkGen.
-	wk workload.Workload // tpcc generator (nil for smallbank)
-
-	ledgerPairs int
-	nextStamp   atomic.Int64
-	stampsUsed  atomic.Int64
-	// scanFaults accumulates snapshot-scan oracle failures from the serve
-	// phase's concurrent scanner (appended post-serve, read by Run).
-	scanFaults []string
+func (e *engine) logPlan(kind string, cycle int, p *simdisk.FaultPlan) {
+	e.plans = append(e.plans, fmt.Sprintf("cycle %d %s: %s", cycle, kind, p.String()))
 }
 
-func (h *harness) logf(cfg Config, format string, args ...any) {
-	if cfg.Log != nil {
-		fmt.Fprintf(cfg.Log, "torture[seed %d]: "+format+"\n", append([]any{cfg.Seed}, args...)...)
+// violation is the *Violation for the faults caught in cycle, or nil when
+// there are none.
+func (e *engine) violation(cycle int, faults ...string) error {
+	if len(faults) == 0 {
+		return nil
 	}
+	return &Violation{Seed: e.cfg.Seed, Cycle: cycle, Cfg: e.cfg, Plans: e.plans, Faults: faults, exp: e.exp}
 }
 
-// stampProc is the ledger write procedure: both rows of a pair get the same
-// value in one transaction.
-func stampProc() *pacman.Procedure {
-	a, b, v := proc.Pm("a"), proc.Pm("b"), proc.Pm("v")
-	return &proc.Procedure{
-		Name:   "TortureStamp",
-		Params: []proc.ParamDef{proc.P("a"), proc.P("b"), proc.P("v")},
-		Body: []proc.Stmt{
-			proc.Read("ra", ledgerTable, a, "v"),
-			proc.Write(ledgerTable, a, proc.Set("v", v)),
-			proc.Read("rb", ledgerTable, b, "v"),
-			proc.Write(ledgerTable, b, proc.Set("v", v)),
-		},
-	}
-}
-
-// newHarness builds the blueprint (workload catalog + ledger + stamp proc)
-// and the oracle for the configured workload.
-func newHarness(cfg Config) (*harness, error) {
-	h := &harness{}
-	// Size the ledger so stamps never run out: ~1/8 of traffic stamps, plus
-	// one serving proof per cycle, with generous slack.
-	h.ledgerPairs = cfg.Cycles*(cfg.TxnsPerCycle/4+8) + 64
-
-	var spec workload.BlueprintSpec
-	switch cfg.Workload {
-	case WorkloadSmallbank:
-		sb := workload.NewSmallbank(workload.SmallbankConfig{Customers: cfg.SBCustomers, HotspotPct: 25})
-		spec = workload.Spec(sb)
-		// 2000 savings + 1000 checking per customer (DefaultSmallbank seed).
-		h.oracle = newClusterOracle(WorkloadSmallbank, int64(cfg.SBCustomers)*3000, h.ledgerPairs, 1)
-	case WorkloadTPCC:
-		tc := workload.DefaultTPCCConfig()
-		tc.Warehouses = 1
-		tc.DisableInserts = true
-		w := workload.NewTPCC(tc)
-		spec = workload.Spec(w)
-		h.wk = w
-		h.oracle = newClusterOracle(WorkloadTPCC, 0, h.ledgerPairs, 1)
-	default:
-		return nil, fmt.Errorf("torture: unknown workload %q", cfg.Workload)
-	}
-
-	ledger := tuple.MustSchema(ledgerTable,
-		tuple.Col("id", tuple.KindInt), tuple.Col("v", tuple.KindInt))
-	pairs := h.ledgerPairs
-	wkSeed := spec.Seed
-	h.bp = pacman.Blueprint{
-		Tables:     append(append([]*pacman.Schema(nil), spec.Tables...), ledger),
-		Procedures: append(append([]*pacman.Procedure(nil), spec.Procs...), stampProc()),
-		Seed: func(seed pacman.Seeder) {
-			if wkSeed != nil {
-				wkSeed(seed)
-			}
-			for k := uint64(1); k <= uint64(2*pairs); k++ {
-				seed(ledgerTable, k, pacman.Tuple{tuple.I(int64(k)), tuple.I(0)})
-			}
-		},
-	}
-	return h, nil
-}
-
-// takeStamp allocates a fresh ledger pair, or -1 when exhausted.
-func (h *harness) takeStamp() int {
-	i := int(h.nextStamp.Add(1) - 1)
-	if i >= h.ledgerPairs {
-		return -1
-	}
-	h.stampsUsed.Add(1)
-	return i
-}
-
-// waiter abstracts the two durable-commit future shapes the torture
-// journals settle on: the in-process *pacman.Future and the wire client's
-// *client.Future. Both resolve at epoch release (or with a terminal error),
-// so one settle classifier serves the in-process and the network cycles.
-type waiter interface {
-	Wait() (pacman.TS, error)
-	Epoch() uint32
-}
-
-// submitFn abstracts how a generated transaction reaches the system: a
-// Frontend closure for the in-process cycle, a wire-client closure for the
-// network cycle.
-type submitFn func(name string, args pacman.Args) waiter
-
-// pending is one in-flight submission with its oracle metadata.
-type pending struct {
-	fut      waiter
-	lo, hi   int64 // committed delta bounds on SAVINGS+CHECKING
-	logged   bool
-	mayAbort bool
-	stamp    int // ledger pair index, -1 if none
-	stampVal int64
-}
-
-// settle classifies one resolved future into the journal.
-func settle(j *journal, p pending) {
-	_, err := p.fut.Wait()
-	switch {
-	case err == nil:
-		j.acked++
-		j.ackLo += p.lo
-		j.ackHi += p.hi
-		if p.logged {
-			j.ackedLogged++
-			// Only write-bearing acks constrain the recovered pepoch: a
-			// read-only or zero-write commit resolves durable without
-			// needing log coverage of its epoch.
-			if e := p.fut.Epoch(); e > j.maxAckedEpoch {
-				j.maxAckedEpoch = e
-			}
-		}
-		if p.stamp >= 0 {
-			j.stampsAcked = append(j.stampsAcked, stampRec{pair: p.stamp, val: p.stampVal})
-		}
-	case errors.Is(err, pacman.ErrCrashed) || errors.Is(err, pacman.ErrClosed),
-		errors.Is(err, client.ErrConnLost):
-		// ErrConnLost is the network twin of the crash sentinels: the request
-		// was sent, the connection died before the result — executed and
-		// maybe durable, so the oracle bounds widen exactly as for a crash.
-		j.maybe++
-		if p.lo < 0 {
-			j.maybeLo += p.lo // effects maybe applied: the low bound widens
-		}
-		if p.hi > 0 {
-			j.maybeHi += p.hi
-		}
-		if p.stamp >= 0 {
-			j.stampsMaybe = append(j.stampsMaybe, stampRec{pair: p.stamp, val: p.stampVal})
-		}
-	case errors.Is(err, pacman.ErrFrontendClosed), errors.Is(err, client.ErrClientClosed):
-		j.rejected++ // never executed: no effects, no slack
-	case p.mayAbort && errors.Is(err, proc.ErrAborted):
-		j.aborted++ // rolled back: no effects
-	default:
-		j.violations = append(j.violations,
-			fmt.Sprintf("transaction failed with unexpected error: %v", err))
-	}
-}
-
-// serve drives one cycle's traffic through a Frontend until the budget runs
-// out or the armed plan trips, optionally taking a mid-traffic checkpoint.
-// It returns after db.Crash()-able state is reached with every client
-// journal settled... the caller crashes the instance, which resolves every
-// outstanding future, and the clients drain on that.
-func (h *harness) serve(cfg Config, db *pacman.DB, cycle int, tripped <-chan struct{}, takeCkpt bool, st *Stats) []*journal {
-	fe := db.MustFrontend(pacman.FrontendConfig{Workers: cfg.Workers})
-	var budget atomic.Int64
-	budget.Store(int64(cfg.TxnsPerCycle))
-	var stop atomic.Bool
-	done := make(chan struct{})
-
-	const maxInFlight = 32
-	js := make([]*journal, cfg.Clients)
-	var wg sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
-		j := &journal{}
-		js[c] = j
-		wg.Add(1)
-		go func(c int, j *journal) {
-			defer wg.Done()
-			crng := rand.New(rand.NewSource(cfg.Seed ^ int64(cycle)*7919 ^ int64(c)*104729))
-			submit := func(name string, args pacman.Args) waiter { return fe.Submit(name, args) }
-			var window []pending
-			for !stop.Load() && budget.Add(-1) >= 0 {
-				p := h.generate(crng, submit)
-				window = append(window, p)
-				if len(window) >= maxInFlight {
-					settle(j, window[0])
-					window = window[1:]
-				}
-			}
-			for _, p := range window {
-				settle(j, p)
-			}
-		}(c, j)
-	}
-	go func() { wg.Wait(); close(done) }()
-
-	// Concurrent snapshot-scan oracle: while traffic (and possibly a
-	// checkpoint) runs, a scanner pins released cuts and checks the two
-	// promises only a consistent immutable snapshot can keep — ledger pairs
-	// are never torn at the cut, and re-reading the same view reproduces
-	// the identical data. It runs right through the power failure: views
-	// over the frozen post-crash state must hold the same promises.
-	scanStop := make(chan struct{})
-	scanDone := make(chan struct{})
-	var scanFaults []string
-	go func() {
-		defer close(scanDone)
-		for {
-			select {
-			case <-scanStop:
-				return
-			default:
-			}
-			if f := h.snapScanOnce(db); f != "" {
-				scanFaults = append(scanFaults, f)
-				return
-			}
-			st.SnapScans++
-			// One pass per epoch or so; back-to-back scanning would only
-			// re-pin the same cut while starving the traffic it audits.
-			time.Sleep(time.Millisecond)
-		}
-	}()
-
-	// Mid-traffic checkpoint, inside the fault window.
-	if takeCkpt {
-		time.Sleep(time.Duration(1+cycle%3) * time.Millisecond)
-		if err := db.Checkpoint(); err == nil {
-			st.Checkpoints++
-		}
-	}
-
-	select {
-	case <-tripped:
-		// Power failed mid-traffic: crash now. Outstanding futures resolve
-		// ErrCrashed when the caller crashes the instance; unblock clients.
-		stop.Store(true)
-	case <-done:
-	}
-	stop.Store(true)
-	db.Crash()
-	<-done
-	fe.Close()
-	wg.Wait()
-	close(scanStop)
-	<-scanDone
-	st.Stamps = int(h.stampsUsed.Load())
-	h.scanFaults = append(h.scanFaults, scanFaults...)
-	return js
-}
-
-// snapScanOnce pins one snapshot view of the torture ledger and verifies
-// the cut. TortureStamp writes the same value to both rows of a pair in one
-// transaction, so a consistent cut can never observe a half-written pair —
-// torn here means snapshot reads leak uncommitted or unreleased state. The
-// second pass re-reads the same view: a released epoch is immutable, so any
-// difference means the cut moved under a pinned view. Returns "" when the
-// cut holds, a fault description otherwise.
-func (h *harness) snapScanOnce(db *pacman.DB) string {
-	v, err := db.SnapshotView(0)
-	if err != nil {
-		return fmt.Sprintf("snapshot view: %v", err)
-	}
-	defer v.Close()
-	ledger := db.Table(ledgerTable)
-	vals := make(map[uint64]int64, 2*h.ledgerPairs)
-	v.Scan(ledger, 0, ^uint64(0), func(k uint64, row pacman.Tuple) bool {
-		vals[k] = row[1].Int()
-		return true
-	})
-	for i := 0; i < h.ledgerPairs; i++ {
-		a, b := vals[pairKeyA(i)], vals[pairKeyB(i)]
-		if a != b {
-			return fmt.Sprintf("snapshot scan at epoch %d observed torn ledger pair %d: a=%d b=%d", v.Epoch(), i, a, b)
-		}
-	}
-	diff := ""
-	v.Scan(ledger, 0, ^uint64(0), func(k uint64, row pacman.Tuple) bool {
-		if row[1].Int() != vals[k] {
-			diff = fmt.Sprintf("pinned view at epoch %d not immutable: ledger key %d read %d then %d", v.Epoch(), k, vals[k], row[1].Int())
-			return false
-		}
-		delete(vals, k)
-		return true
-	})
-	if diff != "" {
-		return diff
-	}
-	if len(vals) != 0 {
-		return fmt.Sprintf("pinned view at epoch %d not immutable: %d ledger rows vanished on re-scan", v.Epoch(), len(vals))
-	}
-	return ""
-}
-
-// generate submits one transaction of the mix and returns it with oracle
-// metadata. Roughly 1/8 of submissions are ledger stamps; the rest are the
-// workload's own mix (with integer-valued amounts for smallbank, so the
-// conservation oracle is exact).
-func (h *harness) generate(rng *rand.Rand, submit submitFn) pending {
-	if rng.Intn(8) == 0 {
-		if pair := h.takeStamp(); pair >= 0 {
-			val := 1 + rng.Int63n(1<<40)
-			fut := submit("TortureStamp", pacman.Args{
-				proc.A(tuple.I(int64(pairKeyA(pair)))),
-				proc.A(tuple.I(int64(pairKeyB(pair)))),
-				proc.A(tuple.I(val)),
-			})
-			return pending{fut: fut, logged: true, stamp: pair, stampVal: val}
-		}
-	}
-	if h.wk != nil { // TPC-C: native mix, ledger-only oracle
-		tx := h.wk.Generate(rng)
-		name := tx.Proc.Name()
-		return pending{
-			fut: submit(name, tx.Args),
-			// Only transactions guaranteed to install at least one write
-			// count toward the replayed-entry bound (Delivery, for one, can
-			// legally commit with nothing to deliver).
-			logged:   name == "NewOrder" || name == "Payment",
-			mayAbort: tx.MayAbort,
-			stamp:    -1,
-		}
-	}
-	return h.smallbankTxn(rng, submit)
-}
-
-// smallbankTxn generates one Smallbank transaction with integer amounts and
-// exact conservation deltas.
-func (h *harness) smallbankTxn(rng *rand.Rand, submit submitFn) pending {
-	cust := func() int64 {
-		if rng.Intn(4) == 0 {
-			return 1 + rng.Int63n(4) // hot keys
-		}
-		return 1 + rng.Int63n(int64(h.sbCustomers()))
-	}
-	c1, c2 := cust(), cust()
-	// Self-transfers are not conserving under snapshot reads (the second
-	// read of the same row sees the pre-write value), so Amalgamate and
-	// SendPayment use distinct customers, as the Smallbank spec intends.
-	for c2 == c1 {
-		c2 = cust()
-	}
-	amt := 1 + rng.Int63n(99) // integer-valued: conservation is exact
-	fa := proc.A(tuple.F(float64(amt)))
-	p := pending{stamp: -1, logged: true}
-	switch rng.Intn(10) {
-	case 0, 1:
-		p.fut = submit("Amalgamate", pacman.Args{proc.A(tuple.I(c1)), proc.A(tuple.I(c2))})
-	case 2, 3:
-		p.fut = submit("DepositChecking", pacman.Args{proc.A(tuple.I(c1)), fa})
-		p.lo, p.hi = amt, amt
-	case 4, 5:
-		p.fut = submit("SendPayment", pacman.Args{proc.A(tuple.I(c1)), proc.A(tuple.I(c2)), fa})
-		// An underfunded SendPayment commits with ZERO writes and therefore
-		// produces no log record: it cannot count toward the replayed-entry
-		// lower bound (conservation still holds either way).
-		p.logged = false
-	case 6:
-		v := amt
-		if rng.Intn(3) == 0 {
-			v = -v
-		}
-		p.fut = submit("TransactSavings", pacman.Args{proc.A(tuple.I(c1)), proc.A(tuple.F(float64(v)))})
-		p.lo, p.hi = v, v
-		p.mayAbort = true
-	case 7, 8:
-		p.fut = submit("WriteCheck", pacman.Args{proc.A(tuple.I(c1)), fa})
-		p.lo, p.hi = -amt-1, -amt // overdraft penalty is state-dependent
-	default:
-		p.fut = submit("Balance", pacman.Args{proc.A(tuple.I(c1))})
-		p.logged = false
-	}
-	return p
-}
-
-// sbCustomers returns the smallbank key space (the oracle's t0 encodes it).
-func (h *harness) sbCustomers() int {
-	return int(h.oracle.t0 / 3000)
-}
-
-// proveServing executes one synchronous durable stamp on the freshly
-// restarted instance: it must succeed, commit above the recovered pepoch,
-// and read back in the next cycle's verification.
-func (h *harness) proveServing(db *pacman.DB, res *pacman.RecoveryResult, st *Stats) string {
-	fe := db.MustFrontend(pacman.FrontendConfig{Workers: 1})
-	defer fe.Close()
-	return h.proveServingVia(fe.Exec, res, st)
-}
-
-// proveServingVia is proveServing's transport-agnostic core: exec is either
-// a Frontend's Exec or a wire client's, so the network cycle proves the
-// recovered incarnation serves over the socket.
+// proveServing executes one synchronous durable stamp through exec: the
+// recovered system must serve immediately, commit above the recovered
+// pepoch, and read the stamp back in the next cycle's verification.
 //
 // A prober whose connection predates the kill can see its first stamp
 // resolve ErrConnLost — on TCP the doomed frame sits in a kernel buffer
@@ -767,41 +310,28 @@ func (h *harness) proveServing(db *pacman.DB, res *pacman.RecoveryResult, st *St
 // unknown" contract, not an availability failure. Each lost stamp is
 // recorded as a maybe for the oracle and the proof retried on a fresh
 // ledger pair; only persistent refusal is a violation.
-func (h *harness) proveServingVia(exec func(string, pacman.Args) (pacman.TS, error), res *pacman.RecoveryResult, st *Stats) string {
-	var ts pacman.TS
+func (e *engine) proveServing(cycle int, exec func(string, pacman.Args) (pacman.TS, error), res *pacman.RecoveryResult) error {
+	j := &journal{}
 	for attempt := 0; ; attempt++ {
-		pair := h.takeStamp()
+		pair := e.takeStamp()
 		if pair < 0 {
-			return "torture harness bug: ledger exhausted"
+			return e.violation(cycle, "torture harness bug: ledger exhausted")
 		}
 		val := int64(1_000_000_000) + int64(pair)
-		var err error
-		ts, err = exec("TortureStamp", pacman.Args{
-			proc.A(tuple.I(int64(pairKeyA(pair)))),
-			proc.A(tuple.I(int64(pairKeyB(pair)))),
-			proc.A(tuple.I(val)),
-		})
+		ts, err := exec("TortureStamp", stampArgs(pair, val))
+		p := pending{logged: true, stamp: pair, stampVal: val}
 		if errors.Is(err, client.ErrConnLost) && attempt < 4 {
-			h.oracle.stamps[pair] = stampState{val: val, known: h.oracle.stamps[pair].known, status: stampMaybe}
-			st.Maybe++
+			j.maybe(p)
 			continue
 		}
 		if err != nil {
-			return fmt.Sprintf("restarted instance refused a durable commit: %v", err)
+			return e.violation(cycle, fmt.Sprintf("restarted instance refused a durable commit: %v", err))
 		}
-		h.oracle.stamps[pair] = stampState{val: val, known: h.oracle.stamps[pair].known, status: stampAcked}
-		break
+		if epoch := uint32(ts >> 32); epoch <= res.Pepoch {
+			return e.violation(cycle, fmt.Sprintf("post-restart commit epoch %d not above recovered pepoch %d", epoch, res.Pepoch))
+		}
+		j.ack(p, ts)
+		e.oracle.absorb([]*journal{j}, e.st)
+		return nil
 	}
-	epoch := uint32(ts >> 32)
-	if epoch <= res.Pepoch {
-		return fmt.Sprintf("post-restart commit epoch %d not above recovered pepoch %d", epoch, res.Pepoch)
-	}
-	if epoch > h.oracle.maxAckedEpoch {
-		h.oracle.maxAckedEpoch = epoch
-	}
-	h.oracle.ackedLogged++
-	st.Acked++
-	st.AckedLogged++
-	st.Stamps = int(h.stampsUsed.Load())
-	return ""
 }
