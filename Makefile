@@ -8,9 +8,9 @@ GO ?= go
 # crash-injection subsystem and its fault plane.
 RACE_PKGS := . ./client/... ./internal/wire/... ./internal/frontend/... ./internal/recovery/... ./internal/sched/... ./internal/wal/... ./internal/txn/... ./internal/mvcc/... ./internal/engine/... ./internal/torture/... ./internal/simdisk/... ./internal/checkpoint/... ./internal/shard/... ./internal/health/... ./internal/harness/... ./cmd/pacman-router/...
 
-.PHONY: check fmt vet build test race torture smoke bench bench-all docs
+.PHONY: check fmt vet build test race torture smoke bench bench-mod bench-all docs
 
-check: fmt vet build test race torture smoke bench docs
+check: fmt vet build test race torture smoke bench bench-mod docs
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -74,11 +74,21 @@ docs:
 	$(GO) test -count=1 -timeout 120s -run Example . ./client/
 
 # The commit-hot-path regression guard: the BenchmarkCommitLogged* micro
-# benchmarks with allocation counts. The allocs/op columns are the contract
-# — the execute->commit->encode->release pipeline stays at a handful of
+# benchmarks with allocation counts, then BenchmarkFrontendSubmit (a fixed
+# 2000 iterations, so the async variant's held futures stay small) for the
+# Frontend submission path. The allocs/op columns are the contract — the
+# submit->execute->commit->encode->release pipeline stays at a handful of
 # allocations per transaction (see README "Performance").
 bench:
 	$(GO) test -run='^$$' -bench=BenchmarkCommitLogged -benchmem -count=1 -timeout 120s .
+	$(GO) test -run='^$$' -bench=BenchmarkFrontendSubmit -benchtime=2000x -benchmem -count=1 -timeout 120s .
+
+# bench/ is a nested module (pacman/bench, replace => ..) that imports the
+# root's internal packages. The root's `go vet ./...` and `go test ./...`
+# never see it, so without this target a root API change that breaks the
+# benchmark harness would pass.
+bench-mod:
+	cd bench && $(GO) vet ./... && $(GO) test -timeout 120s ./...
 
 # The full experiment benchmark sweep (slow; not part of check).
 bench-all:

@@ -1,6 +1,11 @@
 // Package client is the Go client for pacmand's wire protocol
-// (docs/PROTOCOL.md): Dial a TCP or unix-socket endpoint, Submit stored-
+// (docs/PROTOCOL.md): Dial a TCP or unix-socket endpoint, submit stored-
 // procedure invocations, and get client-side durable-commit futures back.
+// SubmitRequest is the one submission call: a Request carries the
+// procedure, its arguments, a wire.SubmitMode (plain, ad-hoc, or one of the
+// two 2PC phases a shard router drives) and an optional timeout. Submit is
+// its shorthand for a plain invocation; Wait on the future for a
+// synchronous durable result.
 //
 // The client pipelines: up to Window requests ride one connection
 // concurrently, each tagged with a request id, and the server answers in
@@ -172,8 +177,7 @@ type call struct {
 	fut      *Future
 	name     string
 	args     proc.Args
-	adHoc    bool
-	frame    uint8 // FrameSubmit (zero value defaults to it), FramePrepare, or FrameDecide
+	mode     wire.SubmitMode
 	reqID    uint64
 	attempts int
 	// deadline, when non-zero, rides the Submit frame as a relative timeout
@@ -572,80 +576,47 @@ func (c *Client) retryLater(cl *call) {
 	time.AfterFunc(delay, func() { c.dispatch(cl) })
 }
 
-// Submit sends one invocation and returns its future. It blocks only for
-// flow control (window full or connection down), never for execution or
-// durability. A procedure name the server did not announce resolves the
+// Request is one submission to a Client.
+type Request struct {
+	// Proc names a procedure the server announced; Args are its parameters.
+	Proc string
+	Args pacman.Args
+	// Mode picks the frame. ModeNormal and ModeAdHoc ride a Submit frame;
+	// ad-hoc transactions are tuple-logged even under command logging.
+	// ModePrepare and ModeDecide are the two phases of a cross-shard
+	// commit, which shard routers drive: a Prepare piece executes as a
+	// value-logged distributed transaction and its future resolves nil only
+	// when its effects are durable at the server's pepoch — the ack a
+	// coordinator's commit decision may rely on. A Decide piece is the
+	// commit-apply or abort-release for a decided transaction; it gates on
+	// the participant's 2PC status row, so re-delivery is safe.
+	Mode wire.SubmitMode
+	// Timeout, when positive, bounds the request. The deadline rides the
+	// frame as a relative timeout, so clock skew cannot distort it, and the
+	// server sheds the request wherever it expires — admission, dequeue, or
+	// the durability pipeline. The client arms its own expiry timer too, so
+	// the future resolves CodeDeadlineExceeded on time even if the server
+	// (or the network) has wedged. Like a connection loss, a deadline
+	// expiry leaves the execution state unknown: the transaction may still
+	// commit durably. Decisions must eventually be delivered, so shard
+	// routers send Decide pieces without one.
+	Timeout time.Duration
+}
+
+// SubmitRequest sends one request and returns its future. It blocks only
+// for flow control (window full or connection down), never for execution
+// or durability. A procedure name the server did not announce resolves the
 // future immediately with an error.
+func (c *Client) SubmitRequest(r Request) *Future {
+	cl := &call{fut: newFuture(), name: r.Proc, args: r.Args, mode: r.Mode, reqID: c.nextReq.Add(1)}
+	c.arm(cl, r.Timeout)
+	c.dispatch(cl)
+	return cl.fut
+}
+
+// Submit is SubmitRequest for a plain invocation with no timeout.
 func (c *Client) Submit(name string, args pacman.Args) *Future {
-	return c.submit(name, args, false)
-}
-
-// SubmitAdHoc is Submit for ad-hoc transactions (tuple-level logging even
-// under command logging).
-func (c *Client) SubmitAdHoc(name string, args pacman.Args) *Future {
-	return c.submit(name, args, true)
-}
-
-// Prepare sends phase one of a cross-shard commit: the named 2PC piece
-// executes as a distributed transaction (value-logged), and the returned
-// future resolves nil only when its effects are durable at the server's
-// pepoch — the prepare ack a coordinator's commit decision may rely on.
-// Shard routers call this; ordinary applications use Submit.
-func (c *Client) Prepare(name string, args pacman.Args) *Future {
-	cl := &call{fut: newFuture(), name: name, args: args, frame: wire.FramePrepare, reqID: c.nextReq.Add(1)}
-	c.dispatch(cl)
-	return cl.fut
-}
-
-// Decide sends phase two of a cross-shard commit: the commit-apply or
-// abort-release piece for a decided transaction. Decide pieces gate on the
-// participant's 2PC status row, so re-delivery during presumed-abort
-// recovery is safe.
-func (c *Client) Decide(name string, args pacman.Args) *Future {
-	cl := &call{fut: newFuture(), name: name, args: args, frame: wire.FrameDecide, reqID: c.nextReq.Add(1)}
-	c.dispatch(cl)
-	return cl.fut
-}
-
-// SubmitWithin is Submit with a per-request timeout: the deadline rides the
-// Submit frame (as a relative timeout, so clock skew cannot distort it) and
-// the server sheds the request wherever it expires — admission, dequeue, or
-// the durability pipeline. The client arms its own expiry timer too, so the
-// future resolves CodeDeadlineExceeded on time even if the server (or the
-// network) has wedged. Like a connection loss, a deadline expiry leaves the
-// execution state unknown: the transaction may still commit durably.
-func (c *Client) SubmitWithin(name string, args pacman.Args, timeout time.Duration) *Future {
-	return c.submitDeadline(name, args, false, timeout)
-}
-
-// SubmitAdHocWithin is SubmitAdHoc with a per-request timeout.
-func (c *Client) SubmitAdHocWithin(name string, args pacman.Args, timeout time.Duration) *Future {
-	return c.submitDeadline(name, args, true, timeout)
-}
-
-// PrepareWithin is Prepare with a per-request timeout — how a shard router
-// bounds phase one of a cross-shard commit so a gray participant cannot
-// stall the coordinator past the transaction's deadline. (There is no
-// DecideWithin: decisions must eventually be delivered, so phase two
-// retries without a deadline.)
-func (c *Client) PrepareWithin(name string, args pacman.Args, timeout time.Duration) *Future {
-	cl := &call{fut: newFuture(), name: name, args: args, frame: wire.FramePrepare, reqID: c.nextReq.Add(1)}
-	c.arm(cl, timeout)
-	c.dispatch(cl)
-	return cl.fut
-}
-
-func (c *Client) submit(name string, args pacman.Args, adHoc bool) *Future {
-	cl := &call{fut: newFuture(), name: name, args: args, adHoc: adHoc, reqID: c.nextReq.Add(1)}
-	c.dispatch(cl)
-	return cl.fut
-}
-
-func (c *Client) submitDeadline(name string, args pacman.Args, adHoc bool, timeout time.Duration) *Future {
-	cl := &call{fut: newFuture(), name: name, args: args, adHoc: adHoc, reqID: c.nextReq.Add(1)}
-	c.arm(cl, timeout)
-	c.dispatch(cl)
-	return cl.fut
+	return c.SubmitRequest(Request{Proc: name, Args: args})
 }
 
 // arm sets a call's deadline and starts the client-side expiry timer. A
@@ -663,11 +634,6 @@ func (c *Client) arm(cl *call, timeout time.Duration) {
 	fut.timer.Store(time.AfterFunc(timeout, func() {
 		fut.resolve(0, &wire.StatusError{Code: wire.CodeDeadlineExceeded, Msg: "no result before deadline"})
 	}))
-}
-
-// Exec is the synchronous variant: Submit and wait for the durable result.
-func (c *Client) Exec(name string, args pacman.Args) (pacman.TS, error) {
-	return c.Submit(name, args).Wait()
 }
 
 // dispatch pushes one call through the current link, waiting out
@@ -701,13 +667,14 @@ func (c *Client) dispatch(cl *call) {
 		l.pending[cl.reqID] = cl
 		l.pmu.Unlock()
 
-		var flags uint8
-		if cl.adHoc {
+		frame, flags := wire.FrameSubmit, uint8(0)
+		switch cl.mode {
+		case wire.ModeAdHoc:
 			flags = wire.FlagAdHoc
-		}
-		frame := cl.frame
-		if frame == 0 {
-			frame = wire.FrameSubmit
+		case wire.ModePrepare:
+			frame = wire.FramePrepare
+		case wire.ModeDecide:
+			frame = wire.FrameDecide
 		}
 		var payload []byte
 		if !cl.deadline.IsZero() {

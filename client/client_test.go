@@ -71,7 +71,7 @@ func TestClientPipelinedDurable(t *testing.T) {
 		}
 	}
 
-	if _, err := c.Exec("NoSuchProc", nil); !errors.Is(err, wire.ErrUnknownProc) {
+	if _, err := c.Submit("NoSuchProc", nil).Wait(); !errors.Is(err, wire.ErrUnknownProc) {
 		t.Fatalf("unknown proc: %v", err)
 	}
 	if err := c.Ping(); err != nil {
@@ -191,7 +191,7 @@ func TestClientReconnectAcrossCrash(t *testing.T) {
 	if _, err := (<-outageCh).Wait(); err != nil {
 		t.Fatalf("outage submit after restart: %v", err)
 	}
-	if _, err := c.Exec("Deposit", depositArgs(3, 2)); err != nil {
+	if _, err := c.Submit("Deposit", depositArgs(3, 2)).Wait(); err != nil {
 		t.Fatalf("post-restart exec: %v", err)
 	}
 }
@@ -231,7 +231,7 @@ func TestClientDrainAndClose(t *testing.T) {
 	}
 
 	c.Close()
-	if _, err := c.Exec("Deposit", depositArgs(1, 1)); !errors.Is(err, client.ErrClientClosed) {
+	if _, err := c.Submit("Deposit", depositArgs(1, 1)).Wait(); !errors.Is(err, client.ErrClientClosed) {
 		t.Fatalf("post-close exec: %v", err)
 	}
 }
@@ -255,7 +255,9 @@ func TestClientDeadlineWhileDisconnected(t *testing.T) {
 	for attempt := 0; ; attempt++ {
 		before := runtime.NumGoroutine()
 		futCh := make(chan *client.Future, 1)
-		go func() { futCh <- c.SubmitWithin("Deposit", depositArgs(1, 1), 50*time.Millisecond) }()
+		go func() {
+			futCh <- c.SubmitRequest(client.Request{Proc: "Deposit", Args: depositArgs(1, 1), Timeout: 50 * time.Millisecond})
+		}()
 		var err error
 		select {
 		case f := <-futCh:

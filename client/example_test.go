@@ -13,8 +13,8 @@ import (
 )
 
 // ExampleDial runs a pacmand server on a unix socket and drives it through
-// the client: Dial, one synchronous durable Exec, one pipelined batch of
-// Submits, graceful shutdown.
+// the client: Dial, one Submit waited on for its durable result, one
+// pipelined batch of Submits, graceful shutdown.
 func ExampleDial() {
 	spec := workload.Spec(workload.NewBank(8))
 	bp := pacman.Blueprint{Tables: spec.Tables, Procedures: spec.Procs, Seed: spec.Seed}
@@ -38,8 +38,8 @@ func ExampleDial() {
 	}
 	defer c.Close()
 
-	// Exec waits for the Result frame: executed AND durable on the server.
-	ts, err := c.Exec("Deposit", pacman.Args{pacman.A(pacman.I(3)), pacman.A(pacman.I(25)), pacman.A(pacman.I(1))})
+	// Wait blocks for the Result frame: executed AND durable on the server.
+	ts, err := c.Submit("Deposit", pacman.Args{pacman.A(pacman.I(3)), pacman.A(pacman.I(25)), pacman.A(pacman.I(1))}).Wait()
 	fmt.Println("durable:", err == nil && ts != 0)
 
 	// Submit pipelines: all four ride the connection concurrently, each

@@ -1,10 +1,6 @@
 package client
 
-import (
-	"fmt"
-
-	"pacman"
-)
+import "fmt"
 
 // Multi is a fixed fan-out of Clients, one per shard endpoint, dialed
 // together and closed together. It is the transport a shard router holds
@@ -37,27 +33,8 @@ func DialMulti(network string, addrs []string, cfg Config) (*Multi, error) {
 // Len returns the number of shard endpoints.
 func (m *Multi) Len() int { return len(m.clients) }
 
-// Client returns the underlying Client for one shard, for operations Multi
-// does not wrap (Ping, Exec).
+// Client returns the underlying Client for one shard.
 func (m *Multi) Client(shard int) *Client { return m.clients[shard] }
-
-// Submit forwards an ordinary invocation to one shard.
-func (m *Multi) Submit(shard int, name string, args pacman.Args) *Future {
-	return m.clients[shard].Submit(name, args)
-}
-
-// Prepare sends a 2PC prepare piece to one shard; the future resolves nil
-// when the piece's effects are durable at that shard's pepoch.
-func (m *Multi) Prepare(shard int, name string, args pacman.Args) *Future {
-	return m.clients[shard].Prepare(name, args)
-}
-
-// Decide sends a 2PC decide piece (commit-apply or abort-release) to one
-// shard. Decide pieces are idempotent, so re-delivery after a router
-// restart is safe.
-func (m *Multi) Decide(shard int, name string, args pacman.Args) *Future {
-	return m.clients[shard].Decide(name, args)
-}
 
 // Close closes every connected client.
 func (m *Multi) Close() {

@@ -60,10 +60,10 @@ func liveScan(dur time.Duration) error {
 				c2 := pacman.I(1 + rng.Int63n(int64(cfg.Customers)))
 				var err error
 				if rng.Intn(4) == 0 {
-					_, err = fe.Exec("Amalgamate", pacman.Args{pacman.A(c1), pacman.A(c2)})
+					_, err = fe.Submit("Amalgamate", pacman.Args{pacman.A(c1), pacman.A(c2)}).Wait()
 				} else {
 					amt := pacman.F(1 + float64(rng.Intn(5000))/100)
-					_, err = fe.Exec("SendPayment", pacman.Args{pacman.A(c1), pacman.A(c2), pacman.A(amt)})
+					_, err = fe.Submit("SendPayment", pacman.Args{pacman.A(c1), pacman.A(c2), pacman.A(amt)}).Wait()
 				}
 				if err != nil {
 					aborted.Add(1)

@@ -69,7 +69,7 @@ func restartRoundTrip(w io.Writer, s harness.Scale, kind pacman.LogKind, txns in
 	}
 	// Prove the restarted instance serves: one synchronous durable commit.
 	fe := db2.MustFrontend(pacman.FrontendConfig{Workers: 1})
-	if _, err := fe.Exec("Deposit", depositArgs(1)); err != nil {
+	if _, err := fe.Submit("Deposit", depositArgs(1)).Wait(); err != nil {
 		return fmt.Errorf("first post-restart transaction: %w", err)
 	}
 	firstTxn := time.Since(t0)

@@ -30,8 +30,8 @@ func ExampleLaunch() {
 	fe := db.MustFrontend(pacman.FrontendConfig{Workers: 2})
 	defer fe.Close()
 
-	// Deposit(name=3, amount=25, nation=1): Exec waits for the durable ack.
-	ts, err := fe.Exec("Deposit", pacman.Args{pacman.A(pacman.I(3)), pacman.A(pacman.I(25)), pacman.A(pacman.I(1))})
+	// Deposit(name=3, amount=25, nation=1): Wait blocks for the durable ack.
+	ts, err := fe.Submit("Deposit", pacman.Args{pacman.A(pacman.I(3)), pacman.A(pacman.I(25)), pacman.A(pacman.I(1))}).Wait()
 	fmt.Println("durable:", err == nil && ts != 0)
 
 	row, _ := db.Table("Current").GetRow(3)
@@ -51,7 +51,7 @@ func ExampleRestart() {
 		panic(err)
 	}
 	fe := db.MustFrontend(pacman.FrontendConfig{Workers: 2})
-	if _, err := fe.Exec("Deposit", pacman.Args{pacman.A(pacman.I(4)), pacman.A(pacman.I(60)), pacman.A(pacman.I(1))}); err != nil {
+	if _, err := fe.Submit("Deposit", pacman.Args{pacman.A(pacman.I(4)), pacman.A(pacman.I(60)), pacman.A(pacman.I(1))}).Wait(); err != nil {
 		panic(err)
 	}
 	fe.Close()
@@ -72,7 +72,7 @@ func ExampleRestart() {
 	// The recovered incarnation serves new work immediately.
 	fe2 := db2.MustFrontend(pacman.FrontendConfig{Workers: 2})
 	defer fe2.Close()
-	_, err = fe2.Exec("Deposit", pacman.Args{pacman.A(pacman.I(4)), pacman.A(pacman.I(1)), pacman.A(pacman.I(1))})
+	_, err = fe2.Submit("Deposit", pacman.Args{pacman.A(pacman.I(4)), pacman.A(pacman.I(1)), pacman.A(pacman.I(1))}).Wait()
 	fmt.Println("serving:", err == nil)
 	// Output:
 	// replayed: 1

@@ -95,11 +95,11 @@ func run(db *pacman.DB, w *workload.Smallbank, n, adhocPct int, seed int64) {
 	})
 	for i := 0; i < n; i++ {
 		tx := w.Generate(rng)
+		r := pacman.Request{Proc: tx.Proc.Name(), Args: tx.Args}
 		if rng.Intn(100) < adhocPct && !tx.ReadOnly {
-			window.Add(fe.SubmitAdHoc(tx.Proc.Name(), tx.Args), tx)
-		} else {
-			window.Add(fe.Submit(tx.Proc.Name(), tx.Args), tx)
+			r.Mode = pacman.ModeAdHoc
 		}
+		window.Add(fe.SubmitRequest(r), tx)
 	}
 	window.Drain()
 	elapsed := time.Since(start)

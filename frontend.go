@@ -27,8 +27,8 @@ type FrontendConfig struct {
 
 // Frontend is the multiplexing client surface: any number of concurrent
 // goroutines submit stored-procedure invocations through a bounded queue
-// onto a fixed session pool. Submit returns a durable-commit Future;
-// Exec is the synchronous variant that waits for group-commit release.
+// onto a fixed session pool. SubmitRequest returns a durable-commit Future;
+// its Wait blocks until group-commit release.
 // The Frontend heartbeats its idle sessions internally, so callers never
 // touch Session.Heartbeat, and Close drains the queue before retiring the
 // pool.
@@ -57,7 +57,7 @@ func (d *DB) NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 }
 
 // MustFrontend is NewFrontend that panics on error — the panicking twin,
-// matching MustSession and the Must* constructor convention.
+// matching the Must* constructor convention.
 func (d *DB) MustFrontend(cfg FrontendConfig) *Frontend {
 	fe, err := d.NewFrontend(cfg)
 	if err != nil {
@@ -66,121 +66,82 @@ func (d *DB) MustFrontend(cfg FrontendConfig) *Frontend {
 	return fe
 }
 
-// Submit queues one invocation and returns its durable-commit Future. It
-// blocks only when the submission queue is full.
-func (f *Frontend) Submit(name string, args Args) *Future {
-	return f.submit(name, args, false, time.Time{})
+// Mode picks the log record a request's commit produces under command
+// logging: ModeCommand logs the invocation, ModeAdHoc and ModeDist log
+// tuple values (Section 4.5).
+type Mode = txn.Mode
+
+// Submission modes.
+const (
+	// ModeCommand is an ordinary stored-procedure invocation.
+	ModeCommand = txn.Command
+	// ModeAdHoc is an ad-hoc transaction: tuple-level logging even under
+	// command logging.
+	ModeAdHoc = txn.AdHoc
+	// ModeDist is a distributed transaction, one of the 2PC pieces a shard
+	// router drives a cross-shard commit through. Its effects are logged as
+	// values even under command logging, so this shard's replay never
+	// re-executes it (its inputs may have come from another shard).
+	ModeDist = txn.Dist
+)
+
+// ErrQueueFull resolves a NoWait request that found the submission queue
+// full. The request was never executed and is always safe to resubmit;
+// pacmand answers it with a backpressure frame.
+var ErrQueueFull = frontend.ErrQueueFull
+
+// Request is one submission to a Frontend.
+type Request struct {
+	// Proc names the stored procedure; Args are its parameters.
+	Proc string
+	Args Args
+	// Mode picks the log record type. Procedures in
+	// Options.ValueLogProcs are submitted as ModeDist whatever it says.
+	Mode Mode
+	// Deadline, when non-zero, bounds the request. If the commit is not
+	// durably acknowledged by then the Future resolves ErrDeadlineExceeded
+	// — at admission when the deadline has already passed, at execution
+	// start when it expired in the queue, or in the durability pipeline
+	// when group commit cannot release it in time. A durable ack that lands
+	// first always wins: an acknowledged Future is never retroactively
+	// failed. Like a connection loss, ErrDeadlineExceeded leaves execution
+	// state unknown — the transaction may still commit durably after the
+	// caller has given up.
+	Deadline time.Time
+	// NoWait makes admission non-blocking: when the submission queue is
+	// full the Future resolves ErrQueueFull at once instead of Submit
+	// blocking, and the caller decides whether to retry, shed load, or
+	// surface backpressure.
+	NoWait bool
 }
 
-// SubmitAdHoc is Submit for ad-hoc transactions (tuple-level logging even
-// under command logging, Section 4.5).
-func (f *Frontend) SubmitAdHoc(name string, args Args) *Future {
-	return f.submit(name, args, true, time.Time{})
-}
-
-// SubmitDist is Submit for distributed transactions — the 2PC pieces a
-// shard router drives a cross-shard commit through. Their effects are
-// logged as values even under command logging, so this shard's replay
-// never re-executes them (their inputs may have come from another shard).
-func (f *Frontend) SubmitDist(name string, args Args) *Future {
-	c := f.d.reg.ByName(name)
+// SubmitRequest queues one request and returns its durable-commit Future.
+// It blocks only when the submission queue is full and NoWait is unset. A
+// request that is not admitted (unknown procedure, closed frontend,
+// brownout, expired deadline, full queue under NoWait) gets a Future
+// already resolved with the reason.
+func (f *Frontend) SubmitRequest(r Request) *Future {
+	c := f.d.reg.ByName(r.Proc)
 	if c == nil {
-		return unknownProc(name)
+		fut := txn.NewFuture(time.Now())
+		fut.Resolve(time.Now(), fmt.Errorf("pacman: unknown procedure %q", r.Proc))
+		return fut
 	}
-	return f.fe.SubmitDist(c, args)
-}
-
-// SubmitDeadline is Submit with a per-request deadline (zero means none).
-// If the commit is not durably acknowledged by the deadline the Future
-// resolves ErrDeadlineExceeded — at admission when the deadline has already
-// passed, at execution start when it expired in the queue, or in the
-// durability pipeline when group commit cannot release it in time. A
-// durable ack that lands first always wins: an acknowledged Future is never
-// retroactively failed. Like a connection loss, ErrDeadlineExceeded leaves
-// execution state unknown — the transaction may still commit durably after
-// the caller has given up.
-func (f *Frontend) SubmitDeadline(name string, args Args, deadline time.Time) *Future {
-	return f.submit(name, args, false, deadline)
-}
-
-// SubmitWithin is SubmitDeadline with a relative timeout.
-func (f *Frontend) SubmitWithin(name string, args Args, timeout time.Duration) *Future {
-	return f.submit(name, args, false, time.Now().Add(timeout))
-}
-
-func (f *Frontend) submit(name string, args Args, adHoc bool, deadline time.Time) *Future {
-	c := f.d.reg.ByName(name)
-	if c == nil {
-		return unknownProc(name)
-	}
-	if f.d.valueLog[name] {
+	if f.d.valueLog[r.Proc] {
 		// Adaptive logging policy: this procedure always logs values.
-		return f.fe.SubmitDistDeadline(c, args, deadline)
+		r.Mode = ModeDist
 	}
-	if adHoc {
-		return f.fe.SubmitAdHocDeadline(c, args, deadline)
-	}
-	return f.fe.SubmitDeadline(c, args, deadline)
+	return f.fe.Submit(frontend.Request{P: c, Args: r.Args, Mode: r.Mode, Deadline: r.Deadline, NoWait: r.NoWait})
 }
 
-func unknownProc(name string) *Future {
-	fut := txn.NewFuture(time.Now())
-	fut.Resolve(time.Now(), fmt.Errorf("pacman: unknown procedure %q", name))
-	return fut
+// Submit is SubmitRequest for a plain invocation.
+func (f *Frontend) Submit(name string, args Args) *Future {
+	return f.SubmitRequest(Request{Proc: name, Args: args})
 }
 
-// TrySubmit is the non-blocking admission variant of Submit: it returns
-// (future, true) only when the submission queue had space right now, and
-// (nil, false) when the queue was full — the caller decides whether to
-// retry, shed load, or surface backpressure (pacmand turns it into a
-// backpressure frame). On a closed frontend it returns a future already
-// resolved with ErrFrontendClosed, and ok is false.
-func (f *Frontend) TrySubmit(name string, args Args) (*Future, bool) {
-	return f.trySubmit(name, args, false, time.Time{})
-}
-
-// TrySubmitAdHoc is TrySubmit for ad-hoc transactions.
-func (f *Frontend) TrySubmitAdHoc(name string, args Args) (*Future, bool) {
-	return f.trySubmit(name, args, true, time.Time{})
-}
-
-// TrySubmitDist is TrySubmit for distributed transactions (2PC pieces; see
-// SubmitDist). pacmand's wire server routes Prepare/Decide frames here.
-func (f *Frontend) TrySubmitDist(name string, args Args) (*Future, bool) {
-	return f.TrySubmitDistDeadline(name, args, time.Time{})
-}
-
-// TrySubmitDeadline is TrySubmit with a per-request deadline (see
-// SubmitDeadline for the expiry contract).
-func (f *Frontend) TrySubmitDeadline(name string, args Args, deadline time.Time) (*Future, bool) {
-	return f.trySubmit(name, args, false, deadline)
-}
-
-// TrySubmitAdHocDeadline is TrySubmitAdHoc with a per-request deadline.
-func (f *Frontend) TrySubmitAdHocDeadline(name string, args Args, deadline time.Time) (*Future, bool) {
-	return f.trySubmit(name, args, true, deadline)
-}
-
-// TrySubmitDistDeadline is TrySubmitDist with a per-request deadline.
-func (f *Frontend) TrySubmitDistDeadline(name string, args Args, deadline time.Time) (*Future, bool) {
-	c := f.d.reg.ByName(name)
-	if c == nil {
-		fut := unknownProc(name)
-		return fut, false
-	}
-	return f.fe.TrySubmitDistDeadline(c, args, deadline)
-}
-
-func (f *Frontend) trySubmit(name string, args Args, adHoc bool, deadline time.Time) (*Future, bool) {
-	c := f.d.reg.ByName(name)
-	if c == nil {
-		fut := unknownProc(name)
-		return fut, false
-	}
-	if f.d.valueLog[name] {
-		return f.fe.TrySubmitDistDeadline(c, args, deadline)
-	}
-	return f.fe.TrySubmitDeadline(c, args, adHoc, deadline)
+// SubmitWithin is Submit with a deadline timeout from now.
+func (f *Frontend) SubmitWithin(name string, args Args, timeout time.Duration) *Future {
+	return f.SubmitRequest(Request{Proc: name, Args: args, Deadline: time.Now().Add(timeout)})
 }
 
 // Brownout reports whether this frontend is currently shedding new work
@@ -203,17 +164,6 @@ func (f *Frontend) QueueDepth() int { return f.fe.Depth() }
 
 // QueueCap returns the submission queue's capacity.
 func (f *Frontend) QueueCap() int { return f.fe.Capacity() }
-
-// Exec submits and waits for durability: when it returns with a nil error,
-// the transaction's epoch has been group-commit released.
-func (f *Frontend) Exec(name string, args Args) (TS, error) {
-	return f.Submit(name, args).Wait()
-}
-
-// ExecAdHoc is Exec for ad-hoc transactions.
-func (f *Frontend) ExecAdHoc(name string, args Args) (TS, error) {
-	return f.SubmitAdHoc(name, args).Wait()
-}
 
 // Sessions returns the pool size (the number of sessions client goroutines
 // share).

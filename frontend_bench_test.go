@@ -11,7 +11,7 @@ import (
 
 // BenchmarkFrontendSubmit compares the two client models at equal worker
 // count (4 pool sessions, command logging): "blocking" runs one synchronous
-// durable Exec per goroutine — each caller eats a full group-commit wait
+// durable Submit+Wait per goroutine — each caller eats a full group-commit wait
 // per transaction — while "async" keeps many Submit futures in flight per
 // client and only settles them at the end. The committed-txns/sec metric
 // shows asynchronous submission sustaining far higher throughput because
@@ -52,7 +52,7 @@ func BenchmarkFrontendSubmit(b *testing.B) {
 			go func(g int) {
 				defer wg.Done()
 				for i := g; i < b.N; i += poolWorkers {
-					if _, err := fe.Exec("Deposit", depositArgs(i)); err != nil {
+					if _, err := fe.Submit("Deposit", depositArgs(i)).Wait(); err != nil {
 						b.Error(err)
 						return
 					}

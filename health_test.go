@@ -80,7 +80,7 @@ func TestDBBrownoutEndToEnd(t *testing.T) {
 	fe := d.MustFrontend(FrontendConfig{})
 	defer fe.Close()
 
-	if _, err := fe.Exec("Deposit", depositArgs(1, 1)); err != nil {
+	if _, err := fe.Submit("Deposit", depositArgs(1, 1)).Wait(); err != nil {
 		t.Fatalf("healthy deposit: %v", err)
 	}
 
@@ -106,7 +106,7 @@ func TestDBBrownoutEndToEnd(t *testing.T) {
 
 	plan.Disarm()
 	waitHealth(t, "healthy again", func() bool { return !d.Brownout() && d.Health().State == "healthy" })
-	if _, err := fe.Exec("Deposit", depositArgs(1, 1)); err != nil {
+	if _, err := fe.Submit("Deposit", depositArgs(1, 1)).Wait(); err != nil {
 		t.Fatalf("post-recovery deposit: %v", err)
 	}
 	trMu.Lock()

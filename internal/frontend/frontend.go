@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pacman/internal/engine"
 	"pacman/internal/health"
 	"pacman/internal/proc"
 	"pacman/internal/txn"
@@ -49,6 +48,10 @@ var ErrClosed = errors.New("frontend: closed")
 // Brownout-shed requests never execute; retry after backoff.
 var ErrBrownout = errors.New("frontend: brownout, shedding new work")
 
+// ErrQueueFull resolves a NoWait submission that found every queue full.
+// The request was never executed and is always safe to resubmit.
+var ErrQueueFull = errors.New("frontend: queue full")
+
 // Config tunes a Frontend.
 type Config struct {
 	// Workers is the pool size: the number of transaction workers client
@@ -59,17 +62,33 @@ type Config struct {
 	// per-worker queues (each gets at least 1 slot); when every queue is
 	// full, Submit blocks (default 4×Workers).
 	Queue int
-	// Heartbeat is the idle-worker liveness cadence (default half the
-	// manager's epoch interval).
-	Heartbeat time.Duration
 }
 
+// Request is one submission: the procedure and its arguments, the log
+// record mode, an optional deadline, and whether a full queue refuses
+// (NoWait) instead of blocking.
+type Request struct {
+	P    *proc.Compiled
+	Args proc.Args
+	Mode txn.Mode
+	// Deadline, when non-zero, bounds the request: if its commit is not
+	// durable by then the future resolves ErrDeadlineExceeded — at
+	// admission, at dequeue, or in the durability pipeline. A durable ack
+	// that lands first is never retroactively failed.
+	Deadline time.Time
+	// NoWait makes admission non-blocking: when every queue is full the
+	// future resolves ErrQueueFull at once. The network server uses it to
+	// turn a full queue into a backpressure frame instead of blocking the
+	// connection's reader goroutine.
+	NoWait bool
+}
+
+// request is a Request admitted to a queue.
 type request struct {
-	p     *proc.Compiled
-	args  proc.Args
-	adHoc bool
-	dist  bool
-	fut   *txn.Future
+	p    *proc.Compiled
+	args proc.Args
+	mode txn.Mode
+	fut  *txn.Future
 }
 
 // Frontend is a bounded worker pool over per-worker submission queues with
@@ -130,11 +149,10 @@ func New(mgr *txn.Manager, ls *wal.LogSet, cfg Config) *Frontend {
 	if cfg.Queue <= 0 {
 		cfg.Queue = 4 * cfg.Workers
 	}
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = mgr.Config().EpochInterval / 2
-		if cfg.Heartbeat <= 0 {
-			cfg.Heartbeat = time.Millisecond
-		}
+	// Idle workers heartbeat at half the epoch interval.
+	hbEvery := mgr.Config().EpochInterval / 2
+	if hbEvery <= 0 {
+		hbEvery = time.Millisecond
 	}
 	perQueue := cfg.Queue / cfg.Workers
 	if perQueue < 1 {
@@ -145,7 +163,7 @@ func New(mgr *txn.Manager, ls *wal.LogSet, cfg Config) *Frontend {
 		wake:    make(chan struct{}, 1),
 		closing: make(chan struct{}),
 		drainCh: make(chan struct{}),
-		hbEvery: cfg.Heartbeat,
+		hbEvery: hbEvery,
 	}
 	for i := range f.queues {
 		f.queues[i] = make(chan request, perQueue)
@@ -259,52 +277,8 @@ func (f *Frontend) handle(w *txn.Worker, r request) {
 		f.shedQueue.Add(1)
 		return
 	}
-	if r.dist {
-		w.ExecuteFutureDist(r.fut, r.p, r.args)
-	} else {
-		w.ExecuteFuture(r.fut, r.p, r.args, r.adHoc)
-	}
+	w.ExecuteFuture(r.fut, r.p, r.args, r.mode)
 	f.executed.Add(1)
-}
-
-// Submit queues one invocation and returns its durable-commit future. It
-// blocks only for queue space (backpressure), never for execution or
-// durability. On a closed frontend the future resolves with ErrClosed.
-func (f *Frontend) Submit(p *proc.Compiled, args proc.Args) *txn.Future {
-	return f.submit(request{p: p, args: args}, time.Time{})
-}
-
-// SubmitAdHoc is Submit for ad-hoc transactions (tuple-level logging even
-// under command logging, Section 4.5).
-func (f *Frontend) SubmitAdHoc(p *proc.Compiled, args proc.Args) *txn.Future {
-	return f.submit(request{p: p, args: args, adHoc: true}, time.Time{})
-}
-
-// SubmitDist is Submit for distributed transactions (2PC pieces): value
-// logging even under command logging, like SubmitAdHoc, but tagged as part
-// of a cross-shard commit.
-func (f *Frontend) SubmitDist(p *proc.Compiled, args proc.Args) *txn.Future {
-	return f.submit(request{p: p, args: args, dist: true}, time.Time{})
-}
-
-// SubmitDeadline is Submit with a per-request deadline (zero means none).
-// If the deadline has already passed at admission the future resolves
-// ErrDeadlineExceeded without entering the queue; otherwise expiry is armed
-// and the request fails fast at whichever later checkpoint the deadline
-// passes — dequeue, execution, or the durability pipeline. A durable ack
-// that lands first is never retroactively failed.
-func (f *Frontend) SubmitDeadline(p *proc.Compiled, args proc.Args, deadline time.Time) *txn.Future {
-	return f.submit(request{p: p, args: args}, deadline)
-}
-
-// SubmitAdHocDeadline is SubmitAdHoc with a per-request deadline.
-func (f *Frontend) SubmitAdHocDeadline(p *proc.Compiled, args proc.Args, deadline time.Time) *txn.Future {
-	return f.submit(request{p: p, args: args, adHoc: true}, deadline)
-}
-
-// SubmitDistDeadline is SubmitDist with a per-request deadline.
-func (f *Frontend) SubmitDistDeadline(p *proc.Compiled, args proc.Args, deadline time.Time) *txn.Future {
-	return f.submit(request{p: p, args: args, dist: true}, deadline)
 }
 
 // admit runs the shared admission checks — deadline at queue entry,
@@ -350,76 +324,40 @@ func (f *Frontend) offer(r request, home int) bool {
 	return false
 }
 
-func (f *Frontend) submit(r request, deadline time.Time) *txn.Future {
+// Submit queues one request and returns its durable-commit future. It
+// blocks only for queue space (backpressure), and not even then with
+// NoWait; never for execution or durability. A request that is not
+// admitted — closed frontend, brownout, expired deadline, or a full queue
+// under NoWait — gets a future already resolved with the typed error.
+func (f *Frontend) Submit(r Request) *txn.Future {
 	now := time.Now()
-	fut := txn.NewFutureDeadline(now, deadline)
+	fut := txn.NewFutureDeadline(now, r.Deadline)
 	if !f.admit(fut, now) {
 		return fut
 	}
 	defer f.submitWG.Done()
-	r.fut = fut
+	q := request{p: r.P, args: r.Args, mode: r.Mode, fut: fut}
 	home := int(f.rr.Add(1)-1) % len(f.queues)
-	if f.offer(r, home) {
+	if f.offer(q, home) {
+		return fut
+	}
+	if r.NoWait {
+		// Never shared with a pool worker; Resolve also stops the expiry
+		// timer admit armed.
+		fut.Resolve(time.Now(), ErrQueueFull)
 		return fut
 	}
 	// Every queue full: block on the home queue (backpressure). Stealing
 	// keeps the home queue draining even when its owner is wedged, so
 	// blocking on one queue cannot outlive the pool itself.
 	select {
-	case f.queues[home] <- r:
+	case f.queues[home] <- q:
 		f.lastMove.Store(time.Now().UnixNano())
 		f.nudge()
 	case <-f.closing:
 		fut.Resolve(time.Now(), ErrClosed)
 	}
 	return fut
-}
-
-// TrySubmit is the non-blocking admission path: it enqueues the invocation
-// and returns its future only when queue space is available RIGHT NOW.
-// A false return means every queue was full (or the frontend closed or
-// browned out, or the request's deadline already passed — the returned
-// future then resolves with the typed error and ok is still false so
-// callers treat all of these as "not admitted"). The network server uses
-// it to turn a full queue into a backpressure frame instead of blocking
-// the connection's reader goroutine.
-func (f *Frontend) TrySubmit(p *proc.Compiled, args proc.Args, adHoc bool) (*txn.Future, bool) {
-	return f.try(request{p: p, args: args, adHoc: adHoc}, time.Time{})
-}
-
-// TrySubmitDist is TrySubmit for distributed transactions (2PC pieces of a
-// cross-shard commit): the commit record is marked Dist so the loggers emit
-// a value record even under command logging.
-func (f *Frontend) TrySubmitDist(p *proc.Compiled, args proc.Args) (*txn.Future, bool) {
-	return f.try(request{p: p, args: args, dist: true}, time.Time{})
-}
-
-// TrySubmitDeadline is TrySubmit with a per-request deadline (zero means
-// none).
-func (f *Frontend) TrySubmitDeadline(p *proc.Compiled, args proc.Args, adHoc bool, deadline time.Time) (*txn.Future, bool) {
-	return f.try(request{p: p, args: args, adHoc: adHoc}, deadline)
-}
-
-// TrySubmitDistDeadline is TrySubmitDist with a per-request deadline.
-func (f *Frontend) TrySubmitDistDeadline(p *proc.Compiled, args proc.Args, deadline time.Time) (*txn.Future, bool) {
-	return f.try(request{p: p, args: args, dist: true}, deadline)
-}
-
-func (f *Frontend) try(r request, deadline time.Time) (*txn.Future, bool) {
-	now := time.Now()
-	fut := txn.NewFutureDeadline(now, deadline)
-	if !f.admit(fut, now) {
-		return fut, false
-	}
-	defer f.submitWG.Done()
-	r.fut = fut
-	if f.offer(r, int(f.rr.Add(1)-1)%len(f.queues)) {
-		return fut, true
-	}
-	// Not admitted: the future was never shared, so stop its expiry
-	// timer instead of letting it fire against an abandoned handle.
-	fut.Disarm()
-	return nil, false
 }
 
 // SetBrownout flips brownout shedding on or off. While on, new submissions
@@ -489,17 +427,6 @@ func (f *Frontend) Capacity() int {
 		c += cap(q)
 	}
 	return c
-}
-
-// Exec is the synchronous durable path: Submit and wait for group-commit
-// release. The returned timestamp is durable (or err explains why not).
-func (f *Frontend) Exec(p *proc.Compiled, args proc.Args) (engine.TS, error) {
-	return f.Submit(p, args).Wait()
-}
-
-// ExecAdHoc is Exec for ad-hoc transactions.
-func (f *Frontend) ExecAdHoc(p *proc.Compiled, args proc.Args) (engine.TS, error) {
-	return f.SubmitAdHoc(p, args).Wait()
 }
 
 // Workers returns the pool's worker handles (tests and instrumentation).

@@ -85,7 +85,7 @@ func TestFrontendMultiplexesClients(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
 				acct := int64(1 + (c*perClient+i)%64)
-				futs[c] = append(futs[c], fe.Submit(fx.deposit, fx.depositArgs(acct, 1, int64(1+c%10))))
+				futs[c] = append(futs[c], fe.Submit(Request{P: fx.deposit, Args: fx.depositArgs(acct, 1, int64(1+c%10))}))
 			}
 		}(c)
 	}
@@ -131,7 +131,7 @@ func TestFuturesResolveInEpochOrder(t *testing.T) {
 	fe := New(fx.mgr, fx.logset, Config{Workers: 1})
 	var futs []*txn.Future
 	for i := 0; i < 20; i++ {
-		futs = append(futs, fe.Submit(fx.deposit, fx.depositArgs(int64(1+i%64), 1, 1)))
+		futs = append(futs, fe.Submit(Request{P: fx.deposit, Args: fx.depositArgs(int64(1+i%64), 1, 1)}))
 		if i%4 == 3 {
 			time.Sleep(2 * time.Millisecond) // let the epoch clock tick
 		}
@@ -181,7 +181,7 @@ func TestCrashFailsFutures(t *testing.T) {
 					return
 				default:
 				}
-				f := fe.Submit(fx.deposit, fx.depositArgs(int64(1+(c+i)%64), 1, 1))
+				f := fe.Submit(Request{P: fx.deposit, Args: fx.depositArgs(int64(1+(c+i)%64), 1, 1)})
 				mu.Lock()
 				futs = append(futs, f)
 				mu.Unlock()
@@ -244,7 +244,7 @@ func TestFrontendDrainOnClose(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < 50; i++ {
-				f := fe.Submit(fx.deposit, fx.depositArgs(int64(1+c), 1, 1))
+				f := fe.Submit(Request{P: fx.deposit, Args: fx.depositArgs(int64(1+c), 1, 1)})
 				results[c] = append(results[c], f)
 				if errors.Is(f.Err(), ErrClosed) {
 					return // frontend closed under us; stop submitting
@@ -290,7 +290,7 @@ func TestSubmitAfterCloseResolvesImmediately(t *testing.T) {
 	fx := newFixture(t, wal.Command)
 	fe := New(fx.mgr, fx.logset, Config{Workers: 2})
 	fe.Close()
-	f := fe.Submit(fx.deposit, fx.depositArgs(1, 1, 1))
+	f := fe.Submit(Request{P: fx.deposit, Args: fx.depositArgs(1, 1, 1)})
 	if _, err := f.Wait(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
@@ -304,7 +304,7 @@ func TestExecIsDurable(t *testing.T) {
 	fx := newFixture(t, wal.Command)
 	fe := New(fx.mgr, fx.logset, Config{Workers: 2})
 	for i := 0; i < 5; i++ {
-		ts, err := fe.Exec(fx.deposit, fx.depositArgs(int64(1+i), 10, 1))
+		ts, err := fe.Submit(Request{P: fx.deposit, Args: fx.depositArgs(int64(1+i), 10, 1)}).Wait()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func TestOffLoggingResolvesAtExecution(t *testing.T) {
 	fe := New(fx.mgr, fx.logset, Config{Workers: 2})
 	var futs []*txn.Future
 	for i := 0; i < 10; i++ {
-		futs = append(futs, fe.Submit(fx.deposit, fx.depositArgs(int64(1+i), 1, 1)))
+		futs = append(futs, fe.Submit(Request{P: fx.deposit, Args: fx.depositArgs(int64(1+i), 1, 1)}))
 	}
 	waitAll(t, futs, 5*time.Second)
 	for i, f := range futs {
@@ -356,7 +356,7 @@ func TestBackpressureBounds(t *testing.T) {
 			defer done.Done()
 			first := true
 			for i := 0; i < 30; i++ {
-				f := fe.Submit(fx.deposit, fx.depositArgs(int64(1+c), 1, 1))
+				f := fe.Submit(Request{P: fx.deposit, Args: fx.depositArgs(int64(1+c), 1, 1)})
 				if first {
 					submitted.Done()
 					first = false

@@ -17,7 +17,7 @@ func TestDeadlineExpiredAtAdmission(t *testing.T) {
 	fe := New(fx.mgr, fx.logset, Config{Workers: 2, Queue: 8})
 	defer func() { fe.Close(); fx.mgr.Stop(); fx.logset.Close() }()
 
-	fut := fe.SubmitDeadline(fx.deposit, fx.depositArgs(1, 1, 1), time.Now().Add(-time.Millisecond))
+	fut := fe.Submit(Request{P: fx.deposit, Args: fx.depositArgs(1, 1, 1), Deadline: time.Now().Add(-time.Millisecond)})
 	select {
 	case <-fut.Done():
 	default:
@@ -33,11 +33,11 @@ func TestDeadlineExpiredAtAdmission(t *testing.T) {
 		t.Fatal("an admission-shed request must never execute")
 	}
 
-	// TrySubmit variant: same shed, and ok=false tells the caller the
-	// request was not admitted.
-	fut2, ok := fe.TrySubmitDeadline(fx.deposit, fx.depositArgs(1, 1, 1), false, time.Now().Add(-time.Millisecond))
-	if ok {
-		t.Fatal("TrySubmitDeadline admitted an expired request")
+	// NoWait variant: same shed, and the future resolves before Submit
+	// returns, telling the caller the request was not admitted.
+	fut2 := fe.Submit(Request{P: fx.deposit, Args: fx.depositArgs(1, 1, 1), Deadline: time.Now().Add(-time.Millisecond), NoWait: true})
+	if !fut2.Resolved() {
+		t.Fatal("NoWait Submit admitted an expired request")
 	}
 	if _, err := fut2.Wait(); !errors.Is(err, txn.ErrDeadlineExceeded) {
 		t.Fatalf("try err = %v, want ErrDeadlineExceeded", err)
@@ -91,7 +91,7 @@ func TestDeadlineAccounting(t *testing.T) {
 	const n = 400
 	futs := make([]*txn.Future, n)
 	for i := range futs {
-		futs[i] = fe.SubmitDeadline(fx.deposit, fx.depositArgs(int64(1+i%64), 1, 1), time.Now().Add(500*time.Microsecond))
+		futs[i] = fe.Submit(Request{P: fx.deposit, Args: fx.depositArgs(int64(1+i%64), 1, 1), Deadline: time.Now().Add(500 * time.Microsecond)})
 	}
 	var expired, committed int64
 	for i, f := range futs {
@@ -138,19 +138,19 @@ func TestBrownoutShedsAtAdmission(t *testing.T) {
 	// brownout gates admission only, so all of it must still commit.
 	pre := make([]*txn.Future, 8)
 	for i := range pre {
-		pre[i] = fe.Submit(fx.deposit, fx.depositArgs(int64(1+i), 1, 1))
+		pre[i] = fe.Submit(Request{P: fx.deposit, Args: fx.depositArgs(int64(1+i), 1, 1)})
 	}
 	fe.SetBrownout(true)
 	if !fe.Brownout() {
 		t.Fatal("Brownout() should report the shedding state")
 	}
 
-	fut := fe.Submit(fx.deposit, fx.depositArgs(1, 1, 1))
+	fut := fe.Submit(Request{P: fx.deposit, Args: fx.depositArgs(1, 1, 1)})
 	if _, err := fut.Wait(); !errors.Is(err, ErrBrownout) {
 		t.Fatalf("brownout submit err = %v, want ErrBrownout", err)
 	}
-	if _, ok := fe.TrySubmit(fx.deposit, fx.depositArgs(1, 1, 1), false); ok {
-		t.Fatal("TrySubmit admitted work during brownout")
+	if err := fe.Submit(Request{P: fx.deposit, Args: fx.depositArgs(1, 1, 1), NoWait: true}).Err(); !errors.Is(err, ErrBrownout) {
+		t.Fatalf("NoWait Submit during brownout err = %v, want ErrBrownout", err)
 	}
 	if s := fe.ShedStats(); s.Brownout != 2 {
 		t.Fatalf("shed stats = %+v, want two brownout sheds", s)
@@ -162,7 +162,7 @@ func TestBrownoutShedsAtAdmission(t *testing.T) {
 	}
 
 	fe.SetBrownout(false)
-	if _, err := fe.Submit(fx.deposit, fx.depositArgs(1, 1, 1)).Wait(); err != nil {
+	if _, err := fe.Submit(Request{P: fx.deposit, Args: fx.depositArgs(1, 1, 1)}).Wait(); err != nil {
 		t.Fatalf("post-brownout submit failed: %v", err)
 	}
 }

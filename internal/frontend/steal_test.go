@@ -28,7 +28,7 @@ func TestWorkStealing(t *testing.T) {
 			go func(c int) {
 				defer wg.Done()
 				for i := 0; i < n/8; i++ {
-					f := fe.Submit(fx.deposit, fx.depositArgs(int64(1+(c*7+i)%64), 1, 1))
+					f := fe.Submit(Request{P: fx.deposit, Args: fx.depositArgs(int64(1+(c*7+i)%64), 1, 1)})
 					mu.Lock()
 					futs = append(futs, f)
 					mu.Unlock()
@@ -78,7 +78,7 @@ func TestDrainEmptiesEveryQueue(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < n/8; i++ {
-				f := fe.Submit(fx.deposit, fx.depositArgs(int64(1+c), 1, 1))
+				f := fe.Submit(Request{P: fx.deposit, Args: fx.depositArgs(int64(1+c), 1, 1)})
 				mu.Lock()
 				futs = append(futs, f)
 				mu.Unlock()

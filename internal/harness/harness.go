@@ -323,12 +323,11 @@ func Run(cfg RunConfig, clean bool) (*RunResult, error) {
 					return
 				}
 				tx := w.Generate(rng)
-				adhoc := !tx.ReadOnly && cfg.AdHocPct > 0 && rng.Intn(100) < cfg.AdHocPct
-				if adhoc {
-					window.Add(fe.SubmitAdHoc(tx.Proc, tx.Args), tx.MayAbort)
-				} else {
-					window.Add(fe.Submit(tx.Proc, tx.Args), tx.MayAbort)
+				r := frontend.Request{P: tx.Proc, Args: tx.Args}
+				if !tx.ReadOnly && cfg.AdHocPct > 0 && rng.Intn(100) < cfg.AdHocPct {
+					r.Mode = txn.AdHoc
 				}
+				window.Add(fe.Submit(r), tx.MayAbort)
 			}
 		}(g)
 	}

@@ -286,25 +286,20 @@ func (r *Router) TrySubmit(mode wire.SubmitMode, name string, args pacman.Args, 
 	case wire.ModePrepare, wire.ModeDecide:
 		return errFuture(fmt.Errorf("shard: the router coordinates 2PC; it does not accept %s frames", "Prepare/Decide")), true
 	}
-	return r.submit(mode == wire.ModeAdHoc, name, args, deadline)
+	return r.submit(mode, name, args, deadline)
 }
 
-// Submit routes one invocation (library form of the frontside).
+// Submit routes one invocation (library form of the frontside). A full
+// router resolves an error wrapping wire.ErrBackpressure: never executed.
 func (r *Router) Submit(name string, args pacman.Args) wire.Waiter {
-	return r.SubmitDeadline(name, args, time.Time{})
-}
-
-// SubmitDeadline is Submit with a per-request deadline (zero means none
-// beyond the router's CallTimeout).
-func (r *Router) SubmitDeadline(name string, args pacman.Args, deadline time.Time) wire.Waiter {
-	w, ok := r.submit(false, name, args, deadline)
+	w, ok := r.submit(wire.ModeNormal, name, args, time.Time{})
 	if !ok {
-		return errFuture(fmt.Errorf("shard: router queue full"))
+		return errFuture(fmt.Errorf("shard: router queue full: %w", wire.ErrBackpressure))
 	}
 	return w
 }
 
-func (r *Router) submit(adHoc bool, name string, args pacman.Args, deadline time.Time) (wire.Waiter, bool) {
+func (r *Router) submit(mode wire.SubmitMode, name string, args pacman.Args, deadline time.Time) (wire.Waiter, bool) {
 	if r.closed.Load() {
 		return errFuture(ErrRouterClosed), true
 	}
@@ -314,11 +309,11 @@ func (r *Router) submit(adHoc bool, name string, args pacman.Args, deadline time
 	r.inflight.Add(1)
 	r.wg.Add(1)
 	f := newRouterFuture()
-	go r.dispatch(adHoc, name, args, deadline, f)
+	go r.dispatch(mode, name, args, deadline, f)
 	return f, true
 }
 
-func (r *Router) dispatch(adHoc bool, name string, args pacman.Args, deadline time.Time, f *future) {
+func (r *Router) dispatch(mode wire.SubmitMode, name string, args pacman.Args, deadline time.Time, f *future) {
 	defer r.wg.Done()
 	defer r.inflight.Add(-1)
 	if deadline.IsZero() && r.cfg.CallTimeout > 0 {
@@ -330,10 +325,10 @@ func (r *Router) dispatch(adHoc bool, name string, args pacman.Args, deadline ti
 		return
 	}
 	if len(shards) == 1 {
-		r.forward(adHoc, shards[0], name, args, deadline, f)
+		r.forward(mode, shards[0], name, args, deadline, f)
 		return
 	}
-	if adHoc {
+	if mode == wire.ModeAdHoc {
 		f.resolve(0, fmt.Errorf("shard: ad-hoc invocations cannot span shards"))
 		return
 	}
@@ -343,30 +338,18 @@ func (r *Router) dispatch(adHoc bool, name string, args pacman.Args, deadline ti
 // forward sends a single-shard invocation untouched; the shard's own
 // durability contract (group-commit release) resolves the future. The
 // shard's breaker gates admission and learns from the outcome.
-func (r *Router) forward(adHoc bool, shard int, name string, args pacman.Args, deadline time.Time, f *future) {
+func (r *Router) forward(mode wire.SubmitMode, shard int, name string, args pacman.Args, deadline time.Time, f *future) {
 	if !r.breakers[shard].allow() {
 		f.resolve(0, fmt.Errorf("shard: shard %d: %w", shard, ErrShardUnavailable))
 		return
 	}
-	cl := r.multi.Client(shard)
-	var cf *client.Future
-	if timeout, bounded := remainingBudget(deadline); bounded {
-		if timeout <= 0 {
-			r.breakers[shard].release() // never sent; free any trial slot
-			f.resolve(0, fmt.Errorf("shard: shard %d: %w", shard, txn.ErrDeadlineExceeded))
-			return
-		}
-		if adHoc {
-			cf = cl.SubmitAdHocWithin(name, args, timeout)
-		} else {
-			cf = cl.SubmitWithin(name, args, timeout)
-		}
-	} else if adHoc {
-		cf = cl.SubmitAdHoc(name, args)
-	} else {
-		cf = cl.Submit(name, args)
+	timeout, bounded := remainingBudget(deadline)
+	if bounded && timeout <= 0 {
+		r.breakers[shard].release() // never sent; free any trial slot
+		f.resolve(0, fmt.Errorf("shard: shard %d: %w", shard, txn.ErrDeadlineExceeded))
+		return
 	}
-	ts, err := cf.Wait()
+	ts, err := r.multi.Client(shard).SubmitRequest(client.Request{Proc: name, Args: args, Mode: mode, Timeout: timeout}).Wait()
 	r.observe(shard, err)
 	f.resolve(ts, err)
 }
@@ -431,16 +414,13 @@ func (r *Router) runCross(name string, shards []int, args proc.Args, deadline ti
 	// the remaining budget, so a gray participant resolves
 	// ErrDeadlineExceeded instead of hanging the coordinator.
 	budget, bounded := remainingBudget(deadline)
+	if bounded && budget <= 0 {
+		budget = time.Nanosecond // already late: let the timer vote NO
+	}
 	prepFuts := make([]*client.Future, len(g.Parts))
 	for i, p := range g.Parts {
-		if bounded {
-			if budget <= 0 {
-				budget = time.Nanosecond // already late: let the timer vote NO
-			}
-			prepFuts[i] = r.multi.Client(p.Shard).PrepareWithin(p.Prepare.Proc, p.Prepare.Args, budget)
-		} else {
-			prepFuts[i] = r.multi.Prepare(p.Shard, p.Prepare.Proc, p.Prepare.Args)
-		}
+		prepFuts[i] = r.multi.Client(p.Shard).SubmitRequest(client.Request{
+			Proc: p.Prepare.Proc, Args: p.Prepare.Args, Mode: wire.ModePrepare, Timeout: budget})
 	}
 	var prepErr error
 	for i, pf := range prepFuts {
@@ -557,7 +537,7 @@ func (r *Router) deliver(g *gtxn, phase func(Participant) Invocation) (pacman.TS
 					mu.Unlock()
 					return
 				}
-				ts, err := r.multi.Decide(p.Shard, inv.Proc, inv.Args).Wait()
+				ts, err := r.multi.Client(p.Shard).SubmitRequest(client.Request{Proc: inv.Proc, Args: inv.Args, Mode: wire.ModeDecide}).Wait()
 				if err == nil {
 					mu.Lock()
 					if ts > maxTS {

@@ -196,7 +196,7 @@ func TestRouterRecovery(t *testing.T) {
 	}
 	for _, g := range []*gtxn{g7, g9} {
 		for _, p := range g.Parts {
-			if _, err := m.Prepare(p.Shard, p.Prepare.Proc, p.Prepare.Args).Wait(); err != nil {
+			if _, err := m.Client(p.Shard).SubmitRequest(client.Request{Proc: p.Prepare.Proc, Args: p.Prepare.Args, Mode: wire.ModePrepare}).Wait(); err != nil {
 				t.Fatalf("gtid %d prepare on shard %d: %v", g.GTID, p.Shard, err)
 			}
 		}
@@ -292,14 +292,14 @@ func TestMixedStreamRecovery(t *testing.T) {
 	// touch, with piece pairs (prepare durable before its decide goes in).
 	var futs []*pacman.Future
 	futs = append(futs, deposit(1, 10), deposit(2, 10))
-	if _, err := fe.SubmitDist("Pay2PCDebit", pieceArgs(1, 1, 100)).Wait(); err != nil {
+	if _, err := fe.SubmitRequest(pacman.Request{Proc: "Pay2PCDebit", Args: pieceArgs(1, 1, 100), Mode: pacman.ModeDist}).Wait(); err != nil {
 		t.Fatalf("dist debit: %v", err)
 	}
-	futs = append(futs, deposit(1, 10), fe.SubmitDist("Pay2PCCommit", gtidArg(1)))
-	if _, err := fe.SubmitDist("Pay2PCCredit", pieceArgs(2, 2, 50)).Wait(); err != nil {
+	futs = append(futs, deposit(1, 10), fe.SubmitRequest(pacman.Request{Proc: "Pay2PCCommit", Args: gtidArg(1), Mode: pacman.ModeDist}))
+	if _, err := fe.SubmitRequest(pacman.Request{Proc: "Pay2PCCredit", Args: pieceArgs(2, 2, 50), Mode: pacman.ModeDist}).Wait(); err != nil {
 		t.Fatalf("dist credit: %v", err)
 	}
-	futs = append(futs, fe.SubmitDist("Pay2PCCommit", gtidArg(2)), deposit(2, 10))
+	futs = append(futs, fe.SubmitRequest(pacman.Request{Proc: "Pay2PCCommit", Args: gtidArg(2), Mode: pacman.ModeDist}), deposit(2, 10))
 	for _, f := range futs {
 		if _, err := f.Wait(); err != nil {
 			t.Fatal(err)
@@ -339,10 +339,10 @@ func TestMixedStreamRecovery(t *testing.T) {
 	// Re-entrancy: commit more mixed work on the recovered instance, crash
 	// again, and recover the doubly-mixed stream.
 	fe2 := db2.MustFrontend(pacman.FrontendConfig{})
-	if _, err := fe2.SubmitDist("Pay2PCDebit", pieceArgs(3, 1, 30)).Wait(); err != nil {
+	if _, err := fe2.SubmitRequest(pacman.Request{Proc: "Pay2PCDebit", Args: pieceArgs(3, 1, 30), Mode: pacman.ModeDist}).Wait(); err != nil {
 		t.Fatalf("post-restart dist debit: %v", err)
 	}
-	if _, err := fe2.SubmitDist("Pay2PCCommit", gtidArg(3)).Wait(); err != nil {
+	if _, err := fe2.SubmitRequest(pacman.Request{Proc: "Pay2PCCommit", Args: gtidArg(3), Mode: pacman.ModeDist}).Wait(); err != nil {
 		t.Fatalf("post-restart dist commit: %v", err)
 	}
 	if _, err := fe2.Submit("DepositChecking",
@@ -520,5 +520,34 @@ func TestRouterHungShardBreaker(t *testing.T) {
 	}
 	if !r.Quiesce(5 * time.Second) {
 		t.Fatal("router did not quiesce after recovery")
+	}
+}
+
+// TestRouterQueueFullIsBackpressure: a Submit beyond QueueCap resolves at
+// once with an error carrying the never-executed backpressure sentinel, so
+// callers can classify it as safe to resubmit.
+func TestRouterQueueFullIsBackpressure(t *testing.T) {
+	tc := launchCluster(t, 2, 40)
+	px := startWedgeProxy(t, tc.addrs[0])
+	m, err := client.DialMulti("tcp", []string{px.addr, tc.addrs[1]}, client.Config{Window: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRouter(tc.cluster, m, simdisk.New("router-log", simdisk.Config{}), RouterConfig{QueueCap: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	// The wedged shard holds the one queue slot until it is released.
+	px.setWedged(true)
+	held := r.Submit("Balance", pacman.Args{pacman.A(pacman.I(3))})
+	_, err = r.Submit("Balance", pacman.Args{pacman.A(pacman.I(30))}).Wait()
+	if !errors.Is(err, wire.ErrBackpressure) {
+		t.Fatalf("queue-full error = %v, want the ErrBackpressure sentinel", err)
+	}
+	px.setWedged(false)
+	if _, err := held.Wait(); err != nil {
+		t.Fatalf("held request after unwedge: %v", err)
 	}
 }

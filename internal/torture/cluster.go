@@ -199,5 +199,5 @@ func (c *clusterTarget) recover(e *engine, cycle int) (*pacman.RecoveryResult, e
 }
 
 func (c *clusterTarget) exec(name string, args pacman.Args) (pacman.TS, error) {
-	return c.prober.Exec(name, args)
+	return c.prober.Submit(name, args).Wait()
 }

@@ -121,7 +121,7 @@ func listen(srv *wire.Server, db *pacman.DB, network, addr string) (string, erro
 // to find the new incarnation — crash→Restart→serve, observed entirely from
 // the client side of the socket.
 func (t *netTarget) exec(name string, args pacman.Args) (pacman.TS, error) {
-	return t.prober.Exec(name, args)
+	return t.prober.Submit(name, args).Wait()
 }
 
 // dialLoad opens a cycle's load clients; on failure it closes the ones

@@ -58,7 +58,7 @@ func (n *node) crash() {
 func (n *node) exec(name string, args pacman.Args) (pacman.TS, error) {
 	fe := n.db.MustFrontend(pacman.FrontendConfig{Workers: 1})
 	defer fe.Close()
-	return fe.Exec(name, args)
+	return fe.Submit(name, args).Wait()
 }
 
 // recover is one cycle's recovery phase: Restart, possibly under an armed

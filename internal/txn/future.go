@@ -112,16 +112,6 @@ func (f *Future) Arm() {
 	f.timer.Store(time.AfterFunc(d, func() { f.Resolve(time.Now(), ErrDeadlineExceeded) }))
 }
 
-// Disarm stops deadline enforcement. It is only legal on a future that was
-// never shared with another goroutine — an admission path that created and
-// armed the future but then declined to enqueue it (TrySubmit's queue-full
-// return) uses it so the timer does not fire against an abandoned handle.
-func (f *Future) Disarm() {
-	if t := f.timer.Load(); t != nil {
-		t.Stop()
-	}
-}
-
 // MarkExecuted records the execution outcome — commit timestamp and commit
 // wall-clock time — leaving the future unresolved until the durability
 // pipeline releases it. It is called by the execution path only, before the

@@ -228,7 +228,7 @@ func TestRecycledCommittedReuseRaced(t *testing.T) {
 				f := NewFuture(time.Now())
 				ts, err := w.ExecuteFuture(f, b.Deposit,
 					proc.Args{proc.A(tuple.I(int64(1 + (g*per+i)%64))), proc.A(tuple.I(1)), proc.A(tuple.I(1))},
-					false)
+					Command)
 				if err != nil {
 					t.Error(err)
 					break

@@ -352,19 +352,29 @@ func (w *Worker) Execute(p *proc.Compiled, args proc.Args, adHoc bool, start tim
 	return w.execute(nil, p, args, adHoc, false, start)
 }
 
+// Mode picks the log record a transaction's commit produces under command
+// logging: stored-procedure invocations are command-logged, everything else
+// is logged as values (Section 4.5).
+type Mode uint8
+
+// Submission modes.
+const (
+	// Command is an ordinary stored-procedure invocation.
+	Command Mode = iota
+	// AdHoc marks the commit record AdHoc: tuple-level logging even under
+	// command logging.
+	AdHoc
+	// Dist marks the commit record Dist: a piece of a cross-shard two-phase
+	// commit, value-logged so a shard's replay never re-executes it.
+	Dist
+)
+
 // ExecuteFuture runs one transaction like Execute and resolves f with its
 // outcome: immediately on an execution error, at commit when the worker's
 // durability is not deferred to a logging pipeline (or the transaction is
 // read-only), and otherwise when the pipeline releases the commit's epoch.
-func (w *Worker) ExecuteFuture(f *Future, p *proc.Compiled, args proc.Args, adHoc bool) (engine.TS, error) {
-	return w.execute(f, p, args, adHoc, false, f.Start())
-}
-
-// ExecuteFutureDist is ExecuteFuture for distributed transactions (2PC
-// pieces): the commit record is marked Dist so the loggers emit a value
-// record even under command logging.
-func (w *Worker) ExecuteFutureDist(f *Future, p *proc.Compiled, args proc.Args) (engine.TS, error) {
-	return w.execute(f, p, args, false, true, f.Start())
+func (w *Worker) ExecuteFuture(f *Future, p *proc.Compiled, args proc.Args, mode Mode) (engine.TS, error) {
+	return w.execute(f, p, args, mode == AdHoc, mode == Dist, f.Start())
 }
 
 func (w *Worker) execute(f *Future, p *proc.Compiled, args proc.Args, adHoc, dist bool, start time.Time) (engine.TS, error) {

@@ -17,7 +17,7 @@ func submitFuture(t testing.TB, w *txn.Worker, b *workload.Bank, acct int64) *tx
 	t.Helper()
 	f := txn.NewFuture(time.Now())
 	if _, err := w.ExecuteFuture(f, b.Deposit,
-		proc.Args{proc.A(tuple.I(acct)), proc.A(tuple.I(7)), proc.A(tuple.I(1))}, false); err != nil {
+		proc.Args{proc.A(tuple.I(acct)), proc.A(tuple.I(7)), proc.A(tuple.I(1))}, txn.Command); err != nil {
 		t.Fatal(err)
 	}
 	return f

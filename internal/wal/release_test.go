@@ -40,7 +40,7 @@ func TestReleaseRecyclesWithoutObserver(t *testing.T) {
 			for i := 0; i < per; i++ {
 				f := txn.NewFuture(time.Now())
 				ts, err := w.ExecuteFuture(f, b.Deposit,
-					proc.Args{proc.A(tuple.I(int64(1 + (g+i)%20))), proc.A(tuple.I(1)), proc.A(tuple.I(1))}, false)
+					proc.Args{proc.A(tuple.I(int64(1 + (g+i)%20))), proc.A(tuple.I(1)), proc.A(tuple.I(1))}, txn.Command)
 				if err != nil {
 					t.Error(err)
 					return
@@ -116,7 +116,7 @@ func TestCloseReleasesAlreadyCoveredEpochs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		f := txn.NewFuture(time.Now())
 		if _, err := w.ExecuteFuture(f, b.Deposit,
-			proc.Args{proc.A(tuple.I(int64(1 + i))), proc.A(tuple.I(1)), proc.A(tuple.I(1))}, false); err != nil {
+			proc.Args{proc.A(tuple.I(int64(1 + i))), proc.A(tuple.I(1)), proc.A(tuple.I(1))}, txn.Command); err != nil {
 			t.Fatal(err)
 		}
 		futs = append(futs, f)
@@ -189,7 +189,7 @@ func TestFlushSyncFailureFailsRecords(t *testing.T) {
 
 	fut := txn.NewFuture(time.Now())
 	if _, err := w.ExecuteFuture(fut, b.Deposit,
-		proc.Args{proc.A(tuple.I(1)), proc.A(tuple.I(5)), proc.A(tuple.I(1))}, false); err != nil {
+		proc.Args{proc.A(tuple.I(1)), proc.A(tuple.I(5)), proc.A(tuple.I(1))}, txn.Command); err != nil {
 		t.Fatal(err)
 	}
 	w.Retire()

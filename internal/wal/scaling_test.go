@@ -53,7 +53,7 @@ func TestShardedReleaseExactlyOnce(t *testing.T) {
 			for i := 0; i < per; i++ {
 				f := txn.NewFuture(time.Now())
 				got, err := w.ExecuteFuture(f, b.Deposit,
-					proc.Args{proc.A(tuple.I(int64(1 + (g*per+i)%20))), proc.A(tuple.I(1)), proc.A(tuple.I(1))}, false)
+					proc.Args{proc.A(tuple.I(int64(1 + (g*per+i)%20))), proc.A(tuple.I(1)), proc.A(tuple.I(1))}, txn.Command)
 				if err != nil {
 					t.Error(err)
 					return

@@ -128,8 +128,8 @@ func TestDistUnderCommandLogging(t *testing.T) {
 	b, m := bankSetup(t)
 	w := m.NewWorker()
 	fut := txn.NewFuture(time.Now())
-	if _, err := w.ExecuteFutureDist(fut, b.Deposit,
-		proc.Args{proc.A(tuple.I(6)), proc.A(tuple.I(7)), proc.A(tuple.I(1))}); err != nil {
+	if _, err := w.ExecuteFuture(fut, b.Deposit,
+		proc.Args{proc.A(tuple.I(6)), proc.A(tuple.I(7)), proc.A(tuple.I(1))}, txn.Dist); err != nil {
 		t.Fatal(err)
 	}
 	recs := w.Drain(10)

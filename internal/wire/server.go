@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -27,9 +28,9 @@ type ServerConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// SubmitMode classifies an admitted request by the frame that carried it:
-// a plain or ad-hoc Submit, or one of the two 2PC phases a shard router
-// drives cross-shard commits through.
+// SubmitMode classifies a request by the frame that carries it: a plain or
+// ad-hoc Submit, or one of the two 2PC phases a shard router drives
+// cross-shard commits through.
 type SubmitMode uint8
 
 // Submit modes.
@@ -97,20 +98,18 @@ type feBackend struct {
 func (b *feBackend) Procs() []string { return b.procs }
 
 func (b *feBackend) TrySubmit(mode SubmitMode, proc string, args pacman.Args, deadline time.Time) (Waiter, bool) {
-	var fut *pacman.Future
-	var ok bool
+	r := pacman.Request{Proc: proc, Args: args, Deadline: deadline, NoWait: true}
 	switch mode {
 	case ModeAdHoc:
-		fut, ok = b.fe.TrySubmitAdHocDeadline(proc, args, deadline)
+		r.Mode = pacman.ModeAdHoc
 	case ModePrepare, ModeDecide:
-		fut, ok = b.fe.TrySubmitDistDeadline(proc, args, deadline)
-	default:
-		fut, ok = b.fe.TrySubmitDeadline(proc, args, deadline)
+		r.Mode = pacman.ModeDist
 	}
-	if fut == nil {
-		return nil, ok
+	fut := b.fe.SubmitRequest(r)
+	if fut.Resolved() && errors.Is(fut.Err(), pacman.ErrQueueFull) {
+		return nil, false
 	}
-	return fut, ok
+	return fut, true
 }
 
 func (b *feBackend) QueueDepth() int { return b.fe.QueueDepth() }

@@ -120,7 +120,7 @@ func TestRestartRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ts, err := fe.Exec("Deposit", Args{proc.A(tuple.I(1)), proc.A(tuple.I(1)), proc.A(tuple.I(1))})
+			ts, err := fe.Submit("Deposit", Args{proc.A(tuple.I(1)), proc.A(tuple.I(1)), proc.A(tuple.I(1))}).Wait()
 			if err != nil {
 				t.Fatalf("post-restart transaction: %v", err)
 			}
@@ -151,7 +151,7 @@ func TestRestartRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := fe3.Exec("Deposit", Args{proc.A(tuple.I(2)), proc.A(tuple.I(1)), proc.A(tuple.I(1))}); err != nil {
+			if _, err := fe3.Submit("Deposit", Args{proc.A(tuple.I(2)), proc.A(tuple.I(1)), proc.A(tuple.I(1))}).Wait(); err != nil {
 				t.Fatalf("transaction after second restart: %v", err)
 			}
 			fe3.Close()
@@ -253,7 +253,7 @@ func TestRestartRejectsAdoptedInstance(t *testing.T) {
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
-	s := d.MustSession()
+	s := session(t, d)
 	if _, err := s.Exec("Deposit", Args{proc.A(tuple.I(1)), proc.A(tuple.I(1)), proc.A(tuple.I(1))}); err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestStartErrorVariantAndMustTwins(t *testing.T) {
 	if err := d.Start(); err != nil {
 		t.Fatalf("second Start: %v", err)
 	}
-	s := d.MustSession()
+	s := session(t, d)
 	s.Retire()
 	fe := d.MustFrontend(FrontendConfig{Workers: 1})
 	fe.Close()

@@ -37,8 +37,12 @@
 // a manifest.
 //
 // The Frontend multiplexes any number of client goroutines over a bounded
-// session pool and owns heartbeating; raw Sessions remain available for
-// callers that need to pin one worker per goroutine (see Session).
+// session pool and owns heartbeating. Its one submission call,
+// SubmitRequest, takes a Request value — procedure, arguments, log mode
+// (command, ad-hoc, distributed), deadline, and a non-blocking flag — and
+// returns a Future; Submit and SubmitWithin are shorthands for it. Raw
+// Sessions remain available for callers that pin one worker per goroutine
+// and execute synchronously (see Session).
 package pacman
 
 import (
@@ -201,8 +205,8 @@ type Options struct {
 	ValueLogProcs []string
 	// OnRelease observes transactions whose results become durable (group
 	// commit released). It rides the same release path that resolves
-	// durable-commit Futures; prefer per-request Futures (Session.Submit,
-	// Frontend.Submit) for new code — they carry per-transaction
+	// durable-commit Futures; prefer per-request Futures
+	// (Frontend.SubmitRequest) for new code — they carry per-transaction
 	// (TS, ExecAt, DurableAt) instead of one global hook.
 	OnRelease func(ts []TS, start []time.Time)
 	// Health tunes the gray-failure watchdog (zero value: enabled with
@@ -805,12 +809,12 @@ func (d *DB) Crash() {
 	}
 }
 
-// ErrNotStarted is returned by NewSession and NewFrontend (and panicked by
-// Session) when the database has not been started.
+// ErrNotStarted is returned by NewSession and NewFrontend when the database
+// has not been started.
 var ErrNotStarted = errors.New("pacman: database not started")
 
-// Future is the durable-commit handle returned by the asynchronous
-// submission APIs (Session.Submit, Frontend.Submit). It resolves when the
+// Future is the durable-commit handle returned by Frontend.SubmitRequest
+// (and its Submit/SubmitWithin shorthands). It resolves when the
 // transaction's epoch is group-commit released, carrying the commit
 // timestamp and the ExecAt/DurableAt instants for per-request latency
 // measurement; it resolves with an error when execution fails or the
@@ -867,72 +871,16 @@ func (d *DB) NewSession() (*Session, error) {
 	return &Session{d: d, w: w}, nil
 }
 
-// MustSession is NewSession that panics on error — the panicking twin of
-// NewSession, following the same convention as MustDefineTable/MustRegister
-// (every constructor has an error variant and a Must* twin).
-func (d *DB) MustSession() *Session {
-	s, err := d.NewSession()
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Session is MustSession under its original name.
-//
-// Deprecated: use NewSession (error variant) or MustSession (panicking
-// twin); Session predates the Must* naming convention.
-func (d *DB) Session() *Session { return d.MustSession() }
-
 // Exec runs a stored procedure by name and returns its commit timestamp.
 // The result is NOT durable yet when Exec returns — durability arrives with
-// the epoch's group-commit release; use Submit to observe it per request.
+// the epoch's group-commit release; a Frontend's Future observes it per
+// request.
 func (s *Session) Exec(name string, args Args) (TS, error) {
 	c := s.d.reg.ByName(name)
 	if c == nil {
 		return 0, fmt.Errorf("pacman: unknown procedure %q", name)
 	}
 	return s.w.Execute(c, args, false, time.Now())
-}
-
-// ExecAdHoc runs a procedure as an ad-hoc transaction: its effects are
-// durable through tuple-level logical logging rather than command logging
-// (Section 4.5).
-func (s *Session) ExecAdHoc(name string, args Args) (TS, error) {
-	c := s.d.reg.ByName(name)
-	if c == nil {
-		return 0, fmt.Errorf("pacman: unknown procedure %q", name)
-	}
-	return s.w.Execute(c, args, true, time.Now())
-}
-
-// Submit executes a stored procedure on the calling goroutine and returns
-// its durable-commit Future: Submit returns as soon as execution commits,
-// and the Future resolves when the commit's epoch is group-commit released.
-//
-// The session's liveness contract still applies while waiting: a goroutine
-// that blocks on the Future with its session idle must Heartbeat (or
-// Retire) first, or group commit stalls on the session and the Future
-// never resolves. Frontend.Submit has no such requirement — the pool
-// heartbeats internally.
-func (s *Session) Submit(name string, args Args) *Future {
-	return s.submit(name, args, false)
-}
-
-// SubmitAdHoc is Submit for ad-hoc transactions.
-func (s *Session) SubmitAdHoc(name string, args Args) *Future {
-	return s.submit(name, args, true)
-}
-
-func (s *Session) submit(name string, args Args, adHoc bool) *Future {
-	fut := txn.NewFuture(time.Now())
-	c := s.d.reg.ByName(name)
-	if c == nil {
-		fut.Resolve(time.Now(), fmt.Errorf("pacman: unknown procedure %q", name))
-		return fut
-	}
-	s.w.ExecuteFuture(fut, c, args, adHoc)
-	return fut
 }
 
 // Heartbeat publishes liveness while the session is idle; call it when the

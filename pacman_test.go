@@ -47,10 +47,20 @@ func openBank(opts Options) (*DB, *workload.Bank) {
 	return d, b
 }
 
+// session opens a raw Session on a started database.
+func session(t *testing.T, d *DB) *Session {
+	t.Helper()
+	s, err := d.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestOpenExecuteClose(t *testing.T) {
 	d, _ := openBank(Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
 	d.Start()
-	s := d.Session()
+	s := session(t, d)
 	ts, err := s.Exec("Transfer", Args{proc.A(tuple.I(1)), proc.A(tuple.I(50))})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +82,7 @@ func TestOpenExecuteClose(t *testing.T) {
 func TestCrashRecoverRoundTrip(t *testing.T) {
 	d, _ := openBank(Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
 	d.Start()
-	s := d.Session()
+	s := session(t, d)
 	for i := 0; i < 200; i++ {
 		if _, err := s.Exec("Deposit", Args{
 			proc.A(tuple.I(int64(1 + i%40))), proc.A(tuple.I(7)), proc.A(tuple.I(int64(1 + i%10))),
@@ -112,7 +122,7 @@ func TestCrashRecoverRoundTrip(t *testing.T) {
 func TestCheckpointViaAPI(t *testing.T) {
 	d, _ := openBank(Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
 	d.Start()
-	s := d.Session()
+	s := session(t, d)
 	for i := 0; i < 50; i++ {
 		if _, err := s.Exec("Deposit", Args{
 			proc.A(tuple.I(int64(1 + i%40))), proc.A(tuple.I(5)), proc.A(tuple.I(1)),
@@ -163,7 +173,7 @@ func TestOnReleaseLatency(t *testing.T) {
 		},
 	})
 	d.Start()
-	s := d.Session()
+	s := session(t, d)
 	for i := 0; i < 20; i++ {
 		if _, err := s.Exec("Deposit", Args{
 			proc.A(tuple.I(1)), proc.A(tuple.I(1)), proc.A(tuple.I(1)),
@@ -193,16 +203,6 @@ func TestAnalyzeExposesGDG(t *testing.T) {
 	d.Close()
 }
 
-func TestSessionBeforeStartPanics(t *testing.T) {
-	d, _ := openBank(Options{})
-	defer func() {
-		if recover() == nil {
-			t.Error("Session before Start should panic")
-		}
-	}()
-	d.Session()
-}
-
 func TestNewSessionBeforeStartReturnsError(t *testing.T) {
 	d, _ := openBank(Options{})
 	if _, err := d.NewSession(); !errors.Is(err, ErrNotStarted) {
@@ -218,35 +218,6 @@ func TestNewSessionBeforeStartReturnsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Retire()
-}
-
-func TestSessionSubmitFuture(t *testing.T) {
-	d, _ := openBank(Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
-	d.Start()
-	s := d.Session()
-	if bad := s.Submit("Nope", nil); bad.Err() == nil {
-		t.Error("unknown procedure future resolved without error")
-	}
-	fut := s.Submit("Deposit", Args{proc.A(tuple.I(1)), proc.A(tuple.I(3)), proc.A(tuple.I(1))})
-	// Submit returns after execution: the balance is already updated even
-	// though durability may still be pending.
-	r, _ := d.Table("Current").GetRow(1)
-	if r.LatestData()[1].Int() != 1003 {
-		t.Fatalf("balance after Submit = %d, want 1003", r.LatestData()[1].Int())
-	}
-	// A raw session must keep the liveness contract before blocking on its
-	// own future: an idle worker that neither heartbeats nor retires holds
-	// the safe epoch back and group commit would wait on it forever (the
-	// Frontend does this internally).
-	s.Retire()
-	ts, err := fut.Wait()
-	if err != nil || ts == 0 {
-		t.Fatalf("Wait = (%v, %v)", ts, err)
-	}
-	if d.PersistedEpoch() < uint32(ts>>32) {
-		t.Fatalf("future durable at epoch %d but pepoch = %d", ts>>32, d.PersistedEpoch())
-	}
-	d.Close()
 }
 
 // TestFrontendMultiplexAPI is the acceptance scenario at the public API: 64
@@ -378,13 +349,13 @@ func TestRecoverIntoStartedInstanceFails(t *testing.T) {
 func TestAdHocViaAPI(t *testing.T) {
 	d, _ := openBank(Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
 	d.Start()
-	s := d.Session()
-	if _, err := s.ExecAdHoc("Deposit", Args{
+	fe := d.MustFrontend(FrontendConfig{Workers: 1})
+	if _, err := fe.SubmitRequest(Request{Proc: "Deposit", Mode: ModeAdHoc, Args: Args{
 		proc.A(tuple.I(2)), proc.A(tuple.I(11)), proc.A(tuple.I(1)),
-	}); err != nil {
+	}}).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	s.Retire()
+	fe.Close()
 	d.Close()
 	d.Crash()
 	d2, _ := openBank(Options{ExistingDevices: d.Devices()})

@@ -30,7 +30,7 @@ func launchSmallbank(t *testing.T, customers int) *DB {
 // multi-version subsystem: a scanner loops long snapshot scans while
 // writers run a SendPayment-only mix over DISJOINT customer pairs — with no
 // writer-writer conflicts, the only possible abort source is the scanner.
-// Any Exec error fails the test, and every scanned cut must conserve the
+// Any writer error fails the test, and every scanned cut must conserve the
 // CHECKING total exactly (SendPayment either moves money or touches
 // nothing). Runs under -race via the root package's race gate.
 func TestSnapshotScanNeverAbortsWriters(t *testing.T) {
@@ -67,7 +67,7 @@ func TestSnapshotScanNeverAbortsWriters(t *testing.T) {
 				src := own[i%len(own)]
 				dst := own[(i+1)%len(own)]
 				amt := float64(1 + i%40)
-				if _, err := fe.Exec("SendPayment", Args{A(I(src)), A(I(dst)), A(F(amt))}); err != nil {
+				if _, err := fe.Submit("SendPayment", Args{A(I(src)), A(I(dst)), A(F(amt))}).Wait(); err != nil {
 					t.Errorf("writer aborted under concurrent scans: %v", err)
 					return
 				}
@@ -115,7 +115,7 @@ func TestSnapshotGCBoundsChains(t *testing.T) {
 	// Hammer a few hot customers to build long chains.
 	for i := 0; i < 400; i++ {
 		c := I(int64(1 + i%4))
-		if _, err := fe.Exec("DepositChecking", Args{A(c), A(F(1))}); err != nil {
+		if _, err := fe.Submit("DepositChecking", Args{A(c), A(F(1))}).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,7 +152,7 @@ func TestSnapshotViewPinsAndBounds(t *testing.T) {
 	// SnapshotView(0) means "newest released", so the reclaim probe below
 	// needs a nonzero pinned epoch to ask for.
 	for i := 0; i < 20; i++ {
-		if _, err := fe.Exec("DepositChecking", Args{A(I(int64(1 + i%8))), A(F(1))}); err != nil {
+		if _, err := fe.Submit("DepositChecking", Args{A(I(int64(1 + i%8))), A(F(1))}).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,7 +171,7 @@ func TestSnapshotViewPinsAndBounds(t *testing.T) {
 		return true
 	})
 	for i := 0; i < 200; i++ {
-		if _, err := fe.Exec("DepositChecking", Args{A(I(int64(1 + i%8))), A(F(10))}); err != nil {
+		if _, err := fe.Submit("DepositChecking", Args{A(I(int64(1 + i%8))), A(F(10))}).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,7 +192,7 @@ func TestSnapshotViewPinsAndBounds(t *testing.T) {
 	// After closing the pin and more commits, the floor passes the old cut.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := fe.Exec("DepositChecking", Args{A(I(1)), A(F(1))}); err != nil {
+		if _, err := fe.Submit("DepositChecking", Args{A(I(1)), A(F(1))}).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		if db.MVCCStats().Floor > pinned {
@@ -238,7 +238,7 @@ func TestFuzzyCheckpointRestart(t *testing.T) {
 					default:
 					}
 					src, dst := int64(1+i%32), int64(1+(i+7)%32)
-					if _, err := fe.Exec("SendPayment", Args{A(I(src)), A(I(dst)), A(F(5))}); err != nil {
+					if _, err := fe.Submit("SendPayment", Args{A(I(src)), A(I(dst)), A(F(5))}).Wait(); err != nil {
 						writeErr = err
 						return
 					}

@@ -149,7 +149,7 @@ func TestFutureCrashSemantics(t *testing.T) {
 			fe := db.MustFrontend(pacman.FrontendConfig{Workers: 4})
 
 			// Phase 1: a synchronously acknowledged transaction.
-			if _, err := fe.Exec("PairPut", pairArgs(0, 111)); err != nil {
+			if _, err := fe.Submit("PairPut", pairArgs(0, 111)).Wait(); err != nil {
 				t.Fatal(err)
 			}
 			// Phase 2: a burst the crash races: the early half gets a few
