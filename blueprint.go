@@ -126,7 +126,9 @@ func MustLaunch(bp Blueprint, opts Options) *DB {
 // or a changed seed — any of which would silently corrupt command-log
 // replay. It then recovers with cfg.Scheme (AutoScheme derives the scheme
 // from the logged kind), repairs the log tail (dropping torn frames and
-// records beyond the durable cut), and returns a *started* instance:
+// records beyond the durable cut) from the verdicts the recovery's reload
+// pass reached — no log file is read twice — and returns a *started*
+// instance:
 //
 //   - the epoch clock resumes past the recovery high-water mark, so every
 //     new commit timestamp exceeds every recovered one;
@@ -138,7 +140,8 @@ func MustLaunch(bp Blueprint, opts Options) *DB {
 //
 // Pass the same device slice the crashed instance used (first device
 // first — it holds the pepoch marker and manifest). The recovered RecoveryResult
-// reports the usual phase timings.
+// reports the usual phase timings, plus what the tail repair did (Repair)
+// and how long it took (RepairTime).
 func Restart(devices []*Device, bp Blueprint, cfg RecoverConfig) (*DB, *RecoveryResult, error) {
 	if len(devices) == 0 {
 		return nil, nil, errors.New("pacman: Restart requires the crashed instance's devices")
@@ -192,8 +195,13 @@ func Restart(devices []*Device, bp Blueprint, cfg RecoverConfig) (*DB, *Recovery
 	// Repair the tail before logging again: drop torn frames and ghost
 	// records beyond the durable cut, which a later recovery's pepoch
 	// filter would otherwise wrongly admit once the persistent epoch moves
-	// past them.
-	if _, err := wal.RepairTail(devices, res.Pepoch); err != nil {
+	// past them. The reload pass already decided what to repair; applying
+	// it reads no batch file, and releasing it frees the bytes it kept.
+	t0 := time.Now()
+	res.Repair, err = res.Tail.Apply(devices)
+	res.RepairTime = time.Since(t0)
+	res.Tail = wal.TailRepair{}
+	if err != nil {
 		return nil, nil, err
 	}
 

@@ -179,6 +179,15 @@ type Result struct {
 	Filtered  int
 	LogBytes  int64
 	TornFiles int
+	// Tail is the log's tail-repair decision, reached by the reload pass
+	// from the bytes it read: Tail.Apply repairs the devices without
+	// reading a batch file again. Run never applies it; pacman.Restart
+	// applies it, then releases it.
+	Tail wal.TailRepair
+	// Repair and RepairTime report the tail repair pacman.Restart applied
+	// after replay; Run leaves them zero.
+	Repair     wal.RepairStats
+	RepairTime time.Duration
 }
 
 // Run performs a full database recovery. The catalog must already hold the
@@ -320,6 +329,7 @@ func replayLog(opts Options, pepoch uint32, ckptTS engine.TS, res *Result) error
 	res.LogBytes = st.Bytes
 	res.TornFiles = st.TornFiles
 	res.Filtered = st.Filtered
+	res.Tail = st.Tail
 	finishStallAccounting(res, f)
 	return replayErr
 }
@@ -335,9 +345,8 @@ func replayLogSerial(opts Options, pepoch uint32, ckptTS engine.TS, res *Result)
 	}
 	ch := make(chan wal.Batch, 2)
 	var abort atomic.Bool
-	var reloadWork, reloadWall time.Duration
-	var bytes int64
-	var torn, filtered int
+	var total wal.ReloadStats
+	var reloadWall time.Duration
 	go func() {
 		defer close(ch)
 		start := time.Now()
@@ -349,10 +358,7 @@ func replayLogSerial(opts Options, pepoch uint32, ckptTS engine.TS, res *Result)
 				return
 			}
 			entries, stats, err := wal.ReloadBatch(bf, pepoch, ckptTS, opts.Threads)
-			reloadWork += stats.ReadTime + stats.DecodeTime
-			bytes += stats.Bytes
-			torn += stats.TornFiles
-			filtered += stats.Filtered
+			total.Add(stats)
 			ch <- wal.Batch{Batch: bf.Batch, Entries: entries, Err: err}
 			if err != nil {
 				return
@@ -365,11 +371,12 @@ func replayLogSerial(opts Options, pepoch uint32, ckptTS engine.TS, res *Result)
 	// Drain so the producer always exits; only then are its stats final.
 	for range ch {
 	}
-	res.LogReload = reloadWork
+	res.LogReload = total.ReadTime + total.DecodeTime
 	res.ReloadWall = reloadWall
-	res.LogBytes = bytes
-	res.TornFiles = torn
-	res.Filtered = filtered
+	res.LogBytes = total.Bytes
+	res.TornFiles = total.TornFiles
+	res.Filtered = total.Filtered
+	res.Tail = total.Tail
 	finishStallAccounting(res, f)
 	return replayErr
 }

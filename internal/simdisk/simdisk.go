@@ -285,6 +285,22 @@ func (d *Device) Size(name string) (int64, error) {
 	return int64(len(f.data)), nil
 }
 
+// Clone returns an independent copy of the device: the same name and
+// performance model, and every file with its contents and durable
+// watermark, but no armed faults and zeroed counters. It lets a check that
+// mutates a crash image run on a copy and leave the original untouched.
+func (d *Device) Clone() *Device {
+	c := New(d.name, d.cfg)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for name, f := range d.files {
+		f.mu.Lock()
+		c.files[name] = &file{data: append([]byte(nil), f.data...), durable: f.durable}
+		f.mu.Unlock()
+	}
+	return c
+}
+
 // Crash simulates a power failure: every file is truncated to its durable
 // (synced) length.
 func (d *Device) Crash() {

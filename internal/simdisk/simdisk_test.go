@@ -109,6 +109,38 @@ func TestCrashTruncatesToDurable(t *testing.T) {
 	}
 }
 
+// TestClone: a clone carries every file and its durable watermark, and the
+// two devices never share bytes afterwards.
+func TestClone(t *testing.T) {
+	d := New("t", Unlimited())
+	w := d.Create("wal")
+	w.Write([]byte("durable"))
+	w.Sync()
+	w.Write([]byte("-unsynced"))
+
+	c := d.Clone()
+	if c.Name() != "t" {
+		t.Errorf("clone name = %q", c.Name())
+	}
+	if s := c.Stats(); s.BytesWritten != 0 || s.BytesRead != 0 {
+		t.Errorf("clone stats = %+v, want zeros", s)
+	}
+	c.Create("extra").Sync()
+	cw := c.Append("wal")
+	cw.Write([]byte("!"))
+	if names := d.List(""); len(names) != 1 {
+		t.Errorf("original gained files from its clone: %v", names)
+	}
+	if sz, _ := d.Size("wal"); sz != int64(len("durable-unsynced")) {
+		t.Errorf("original wal is %d bytes after the clone's append", sz)
+	}
+	c.Crash()
+	r, _ := c.Open("wal")
+	if got, _ := r.ReadAll(); string(got) != "durable" {
+		t.Errorf("clone after crash: %q, want the durable prefix", got)
+	}
+}
+
 func TestStatsCounting(t *testing.T) {
 	d := New("t", Unlimited())
 	w := d.Create("f")

@@ -69,23 +69,17 @@ func (n *node) recover(e *engine, cycle int) (*pacman.RecoveryResult, error) {
 	force := e.cfg.ForceRecoveryCrash && cycle == 0
 	for attempt := 0; ; attempt++ {
 		var rplan *simdisk.FaultPlan
+		var wantRepair *wal.RepairStats
 		if attempt < maxAttempts-1 && (e.rng.Intn(100) < recoveryCrashPct || force && attempt == 0) {
 			rplan = recoveryPlan(e.rng, n.devices, force && attempt == 0)
 			e.logPlan(fmt.Sprintf("recovery attempt %d", attempt), cycle, rplan)
 			rplan.Arm(n.devices...)
 		} else {
-			// Clean attempt: prove tail repair converges before Restart runs
-			// it for real (double repair is a no-op on round two).
-			pe, err := wal.ReadPepoch(n.devices[0])
-			if err != nil && !errors.Is(err, simdisk.ErrNotExist) {
-				return nil, e.violation(cycle, fmt.Sprintf("pepoch unreadable after crash: %v", err))
+			st, err := standaloneRepair(n.devices)
+			if err != nil {
+				return nil, e.violation(cycle, err.Error())
 			}
-			if _, err := wal.RepairTail(n.devices, pe); err != nil {
-				return nil, e.violation(cycle, fmt.Sprintf("tail repair failed: %v", err))
-			}
-			if st, err := wal.RepairTail(n.devices, pe); err != nil || !st.Zero() {
-				return nil, e.violation(cycle, fmt.Sprintf("tail repair did not converge: second pass %+v, err %v", st, err))
-			}
+			wantRepair = &st
 		}
 
 		db, res, err := pacman.Restart(n.devices, n.bp, pacman.RecoverConfig{
@@ -117,8 +111,34 @@ func (n *node) recover(e *engine, cycle int) (*pacman.RecoveryResult, error) {
 		}
 		n.db = db
 		e.st.Replayed = res.Entries
+		if wantRepair != nil && res.Repair != *wantRepair {
+			return res, e.violation(cycle, fmt.Sprintf("Restart's tail repair %+v differs from RepairTail's %+v on a copy of the crash image", res.Repair, *wantRepair))
+		}
 		return res, e.violation(cycle, e.oracle.verify(db, res)...)
 	}
+}
+
+// standaloneRepair runs the standalone tail repair twice on a copy of the
+// crash image: the second pass must find nothing (repair converges), and
+// the first pass's stats are what Restart's own repair — decided by its
+// reload pass, on the untouched image — must report.
+func standaloneRepair(devices []*pacman.Device) (wal.RepairStats, error) {
+	pe, err := wal.ReadPepoch(devices[0])
+	if err != nil && !errors.Is(err, simdisk.ErrNotExist) {
+		return wal.RepairStats{}, fmt.Errorf("pepoch unreadable after crash: %v", err)
+	}
+	clones := make([]*pacman.Device, len(devices))
+	for i, d := range devices {
+		clones[i] = d.Clone()
+	}
+	st, err := wal.RepairTail(clones, pe)
+	if err != nil {
+		return st, fmt.Errorf("tail repair failed: %v", err)
+	}
+	if st2, err := wal.RepairTail(clones, pe); err != nil || !st2.Zero() {
+		return st, fmt.Errorf("tail repair did not converge: second pass %+v, err %v", st2, err)
+	}
+	return st, nil
 }
 
 // armServe derives and arms the power-fail plan of a cycle's serve phase,

@@ -749,7 +749,7 @@ func scanPepochRecords(b []byte) (valid int, pe uint32) {
 // writePepochMarker rewrites the marker as a single record holding pe,
 // staged in a sidecar, synced, and atomically renamed — the crash-safe
 // compaction path. The sidecar uses the repair prefix so a crashed
-// compaction's leftovers are swept by the next RepairTail pass.
+// compaction's leftovers are swept by the next tail repair.
 func writePepochMarker(dev *simdisk.Device, pe uint32) error {
 	var buf [8]byte
 	binary.LittleEndian.PutUint32(buf[:4], pe)

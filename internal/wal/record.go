@@ -201,27 +201,48 @@ func appendPhysicalWrites(buf []byte, ws []txn.WriteRec) []byte {
 	return buf
 }
 
-// decodeRecord decodes one framed record, returning the bytes consumed.
-// A framing or checksum error returns consumed = 0: the caller treats it
-// as a torn tail and stops.
-func decodeRecord(b []byte, kind Kind) (*Entry, int, error) {
+// nextFrame validates the framed record ([len][crc][payload]) at the start
+// of b and returns its payload and the bytes it spans. A short, torn or
+// corrupt frame returns n = 0: the caller treats it as a torn tail and
+// stops. Reload and tail repair both frame through here.
+func nextFrame(b []byte) (payload []byte, n int) {
 	if len(b) < 8 {
-		return nil, 0, nil // clean EOF or torn length word
+		return nil, 0 // clean EOF or torn length word
 	}
 	plen := int(binary.LittleEndian.Uint32(b))
 	crc := binary.LittleEndian.Uint32(b[4:])
 	if plen <= 0 || len(b) < 8+plen {
-		return nil, 0, nil // torn tail
+		return nil, 0 // torn tail
 	}
-	payload := b[8 : 8+plen]
+	payload = b[8 : 8+plen]
 	if crc32.Checksum(payload, crcTable) != crc {
-		return nil, 0, nil // corrupt tail
+		return nil, 0 // corrupt tail
+	}
+	return payload, 8 + plen
+}
+
+// payloadTS reads a payload's leading commit-timestamp word without
+// decoding the rest (0 when the payload is too short to hold one).
+func payloadTS(p []byte) engine.TS {
+	if len(p) < 8 {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(p)
+}
+
+// decodeRecord decodes one framed record, returning the bytes consumed.
+// A framing or checksum error returns consumed = 0: the caller treats it
+// as a torn tail and stops.
+func decodeRecord(b []byte, kind Kind) (*Entry, int, error) {
+	payload, n := nextFrame(b)
+	if n == 0 {
+		return nil, 0, nil
 	}
 	e, err := decodePayload(payload, kind)
 	if err != nil {
 		return nil, 0, err
 	}
-	return e, 8 + plen, nil
+	return e, n, nil
 }
 
 func decodePayload(p []byte, kind Kind) (*Entry, error) {

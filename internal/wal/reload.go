@@ -72,6 +72,21 @@ type ReloadStats struct {
 	Bytes      int64
 	ReadTime   time.Duration
 	DecodeTime time.Duration
+	// Tail is the tail-repair verdict of every file the pass walked; its
+	// Apply repairs them without reading a batch file again.
+	Tail TailRepair
+}
+
+// Add accumulates another pass's stats into s.
+func (s *ReloadStats) Add(o ReloadStats) {
+	s.Entries += o.Entries
+	s.TornFiles += o.TornFiles
+	s.Dropped += o.Dropped
+	s.Filtered += o.Filtered
+	s.Bytes += o.Bytes
+	s.ReadTime += o.ReadTime
+	s.DecodeTime += o.DecodeTime
+	s.Tail.merge(o.Tail)
 }
 
 // ReloadBatch reads and decodes one batch's files with up to `threads`
@@ -84,10 +99,7 @@ func ReloadBatch(bf BatchFiles, pepoch uint32, ckptTS engine.TS, threads int) ([
 		threads = 1
 	}
 	type fileResult struct {
-		entries    []*Entry
-		torn       bool
-		dropped    int
-		filtered   int
+		walk       fileWalk
 		bytes      int64
 		readTime   time.Duration
 		decodeTime time.Duration
@@ -103,12 +115,7 @@ func ReloadBatch(bf BatchFiles, pepoch uint32, ckptTS engine.TS, threads int) ([
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			t0 := time.Now()
-			r, err := f.Device.Open(f.Name)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			data, err := r.ReadAll()
+			data, err := readFileBytes(f)
 			results[i].readTime = time.Since(t0)
 			if err != nil {
 				results[i].err = err
@@ -116,78 +123,117 @@ func ReloadBatch(bf BatchFiles, pepoch uint32, ckptTS engine.TS, threads int) ([
 			}
 			results[i].bytes = int64(len(data))
 			t1 := time.Now()
-			entries, torn, dropped, filtered, err := decodeFile(data, pepoch, ckptTS)
+			results[i].walk, err = walkFile(data, pepoch, ckptTS, true)
 			results[i].decodeTime = time.Since(t1)
 			if err != nil {
 				results[i].err = fmt.Errorf("%s: %w", f.Name, err)
-				return
 			}
-			results[i].entries = entries
-			results[i].torn = torn
-			results[i].dropped = dropped
-			results[i].filtered = filtered
 		}(i, f)
 	}
 	wg.Wait()
 
 	var stats ReloadStats
 	var all []*Entry
-	for _, r := range results {
+	for i, r := range results {
 		if r.err != nil {
 			return nil, stats, r.err
 		}
-		all = append(all, r.entries...)
-		if r.torn {
+		all = append(all, r.walk.entries...)
+		if r.walk.torn() {
 			stats.TornFiles++
 		}
-		stats.Dropped += r.dropped
-		stats.Filtered += r.filtered
+		stats.Dropped += r.walk.dropped
+		stats.Filtered += r.walk.filtered
 		stats.Bytes += r.bytes
 		stats.ReadTime += r.readTime
 		stats.DecodeTime += r.decodeTime
+		stats.Tail.add(bf.Files[i], &r.walk)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].TS < all[j].TS })
 	stats.Entries = len(all)
 	return all, stats, nil
 }
 
-// decodeFile decodes one batch file's records: entries beyond pepoch are
-// dropped, and when ckptTS is non-zero so are entries a checkpoint already
-// covers (TS <= ckptTS). Both the batch-at-a-time ReloadBatch and the
-// streaming Reloader decode through here, so the two reload paths cannot
-// diverge.
+// fileWalk is what one walk over a batch file's frames found: the entries
+// to replay and the file's tail-repair verdict.
+type fileWalk struct {
+	entries  []*Entry
+	dropped  int // ghost frames beyond pepoch: never replayed, dropped by repair
+	filtered int // frames a checkpoint covers: never replayed, kept by repair
+	// headerTorn marks a file whose header never became durable; it holds
+	// nothing replayable and repair removes it.
+	headerTorn bool
+	// tornBytes counts the trailing bytes of a torn or corrupt frame (the
+	// whole file when headerTorn).
+	tornBytes int64
+	// keep is the file as repair rewrites it: the header plus every intact
+	// frame at or below pepoch, byte-exact.
+	keep []byte
+}
+
+func (w *fileWalk) torn() bool { return w.headerTorn || w.tornBytes > 0 }
+
+// walkFile is the one frame walk over a batch file that reload and tail
+// repair share, so the two cannot disagree about framing. It validates
+// frames in order (length + CRC) up to the first torn or corrupt one and
+// drops frames beyond pepoch. With decode set, each kept frame is also
+// decoded into an entry unless a checkpoint covers it (ckptTS non-zero and
+// TS <= ckptTS) — a filtered frame is skipped by replay but kept by repair,
+// since only the pepoch cut and torn bytes decide a rewrite. Both read the
+// frame's leading TS word alone, so neither ghosts nor filtered frames are
+// decoded.
 //
 // A file whose header is truncated or corrupt is treated as fully torn, not
 // as a fatal error: a power failure between batch-file creation and the
-// first sync legitimately persists an empty or partial header, and such a
-// file simply holds nothing replayable (RepairTail removes it).
-func decodeFile(data []byte, pepoch uint32, ckptTS engine.TS) (entries []*Entry, torn bool, dropped, filtered int, err error) {
+// first sync legitimately persists an empty or partial header.
+func walkFile(data []byte, pepoch uint32, ckptTS engine.TS, decode bool) (fileWalk, error) {
+	var w fileWalk
 	kind, _, _, rest, err := decodeFileHeader(data)
 	if err != nil {
-		return nil, true, 0, 0, nil
+		w.headerTorn, w.tornBytes = true, int64(len(data))
+		return w, nil
 	}
+	// Kept frames are the prefix data[:keepEnd] until a dropped frame is
+	// followed by a kept one; only then are they copied out.
+	keepEnd := fileHeaderSize
 	for len(rest) > 0 {
-		e, n, err := decodeRecord(rest, kind)
-		if err != nil {
-			return nil, false, dropped, filtered, err
-		}
+		payload, n := nextFrame(rest)
 		if n == 0 {
-			// Torn or corrupt tail: everything before it is valid.
-			torn = true
+			w.tornBytes = int64(len(rest))
 			break
 		}
+		off, frame := len(data)-len(rest), rest[:n]
 		rest = rest[n:]
-		if e.Epoch() > pepoch {
-			dropped++
+		ts := payloadTS(payload)
+		if engine.EpochOf(ts) > pepoch {
+			w.dropped++
 			continue
 		}
-		if ckptTS > 0 && e.TS <= ckptTS {
-			filtered++
+		switch {
+		case w.keep != nil:
+			w.keep = append(w.keep, frame...)
+		case off == keepEnd:
+			keepEnd += n
+		default:
+			w.keep = append(data[:keepEnd:keepEnd], frame...)
+		}
+		if ckptTS > 0 && ts <= ckptTS {
+			w.filtered++
 			continue
 		}
-		entries = append(entries, e)
+		if !decode {
+			continue
+		}
+		e, err := decodePayload(payload, kind)
+		if err != nil {
+			return w, err
+		}
+		w.entries = append(w.entries, e)
 	}
-	return entries, torn, dropped, filtered, nil
+	if w.keep == nil {
+		w.keep = data[:keepEnd]
+	}
+	return w, nil
 }
 
 // ReloadAll reloads every batch in order and concatenates the entries —
@@ -206,12 +252,7 @@ func ReloadAll(devices []*simdisk.Device, pepoch uint32, threads int) ([]*Entry,
 			return nil, total, err
 		}
 		all = append(all, es...)
-		total.Entries += st.Entries
-		total.TornFiles += st.TornFiles
-		total.Dropped += st.Dropped
-		total.Bytes += st.Bytes
-		total.ReadTime += st.ReadTime
-		total.DecodeTime += st.DecodeTime
+		total.Add(st)
 	}
 	return all, total, nil
 }

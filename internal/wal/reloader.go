@@ -67,6 +67,7 @@ type Reloader struct {
 	cond      *sync.Cond
 	delivered int // batches handed to the consumer
 	pending   []*pendingBatch
+	tail      TailRepair // verdicts of the files walked so far
 
 	start      time.Time
 	readTime   metrics.DurationSum
@@ -97,7 +98,7 @@ type fileRef struct {
 // decodeJob carries one file's raw bytes from a reader to the decode pool.
 type decodeJob struct {
 	idx  int
-	name string
+	file BatchFile
 	data []byte
 }
 
@@ -175,9 +176,12 @@ func (r *Reloader) Abort() {
 	})
 }
 
-// Stats reports pipeline statistics; totals are final once the Batches
-// channel has closed.
+// Stats reports pipeline statistics; totals, and the tail-repair verdicts
+// in Tail, are final once the Batches channel has closed.
 func (r *Reloader) Stats() PipelineStats {
+	r.mu.Lock()
+	tail := r.tail
+	r.mu.Unlock()
 	return PipelineStats{
 		ReloadStats: ReloadStats{
 			Entries:    int(r.entries.Load()),
@@ -187,6 +191,7 @@ func (r *Reloader) Stats() PipelineStats {
 			Bytes:      r.bytes.Load(),
 			ReadTime:   r.readTime.Load(),
 			DecodeTime: r.decodeTime.Load(),
+			Tail:       tail,
 		},
 		Wall: time.Duration(r.wallNS.Load()),
 	}
@@ -208,12 +213,12 @@ func (r *Reloader) readDevice(refs []fileRef, jobs chan<- decodeJob) {
 		data, err := readFileBytes(fr.file)
 		r.readTime.AddSince(t0)
 		if err != nil {
-			r.deposit(fr.idx, nil, err)
+			r.deposit(fr.idx, fr.file, nil, err)
 			continue
 		}
 		r.bytes.Add(int64(len(data)))
 		select {
-		case jobs <- decodeJob{idx: fr.idx, name: fr.file.Name, data: data}:
+		case jobs <- decodeJob{idx: fr.idx, file: fr.file, data: data}:
 		case <-r.done:
 			return
 		}
@@ -228,33 +233,34 @@ func readFileBytes(f BatchFile) ([]byte, error) {
 	return rd.ReadAll()
 }
 
-// decodeLoop drains the shared job channel: decode, pepoch cut, checkpoint
-// filter, and per-file TS sort all happen here, off the delivery path.
+// decodeLoop drains the shared job channel: the frame walk (decode, pepoch
+// cut, checkpoint filter, tail-repair verdict) and per-file TS sort all
+// happen here, off the delivery path.
 func (r *Reloader) decodeLoop(jobs <-chan decodeJob) {
 	for job := range jobs {
 		if r.aborted.Load() {
 			continue // keep draining so readers never block on send
 		}
 		t0 := time.Now()
-		entries, torn, dropped, filtered, err := decodeFile(job.data, r.opts.Pepoch, r.opts.CkptTS)
+		w, err := walkFile(job.data, r.opts.Pepoch, r.opts.CkptTS, true)
 		if err != nil {
-			err = fmt.Errorf("%s: %w", job.name, err)
+			err = fmt.Errorf("%s: %w", job.file.Name, err)
 		}
 		// Each run arrives TS-sorted so delivery is a cheap k-way merge.
-		sort.Slice(entries, func(i, j int) bool { return entries[i].TS < entries[j].TS })
+		sort.Slice(w.entries, func(i, j int) bool { return w.entries[i].TS < w.entries[j].TS })
 		r.decodeTime.AddSince(t0)
-		if torn {
+		if w.torn() {
 			r.torn.Add(1)
 		}
-		r.dropped.Add(int64(dropped))
-		r.filtered.Add(int64(filtered))
-		r.deposit(job.idx, entries, err)
+		r.dropped.Add(int64(w.dropped))
+		r.filtered.Add(int64(w.filtered))
+		r.deposit(job.idx, job.file, &w, err)
 	}
 }
 
-// deposit records one decoded file (or its error) against its batch and
+// deposit records one walked file (or its error) against its batch and
 // wakes the deliverer when the batch completes.
-func (r *Reloader) deposit(idx int, run []*Entry, err error) {
+func (r *Reloader) deposit(idx int, f BatchFile, w *fileWalk, err error) {
 	r.mu.Lock()
 	pb := r.pending[idx]
 	if pb == nil {
@@ -266,8 +272,11 @@ func (r *Reloader) deposit(idx int, run []*Entry, err error) {
 	if err != nil && pb.err == nil {
 		pb.err = err
 	}
-	if len(run) > 0 {
-		pb.runs = append(pb.runs, run)
+	if err == nil {
+		r.tail.add(f, w)
+		if len(w.entries) > 0 {
+			pb.runs = append(pb.runs, w.entries)
+		}
 	}
 	pb.remaining--
 	if pb.remaining <= 0 {

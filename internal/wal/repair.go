@@ -1,11 +1,10 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
+	"fmt"
+	"sync"
 
-	"pacman/internal/engine"
 	"pacman/internal/simdisk"
 )
 
@@ -73,27 +72,60 @@ func repairPepochMarker(dev *simdisk.Device) (tornBytes int64, err error) {
 	return int64(len(data) - valid), nil
 }
 
-// RepairTail rewrites every log batch file so it contains exactly the
-// records recovery replayed: frames whose epoch is at or below pepoch, with
-// torn or corrupt trailing bytes removed. Files whose header never became
-// durable (created but unsynced at the crash) hold nothing replayable and
-// are removed whole.
+// TailRepair is the tail-repair decision a reload pass reached from the
+// bytes it already read: which batch files to rewrite (ghost frames beyond
+// pepoch or a torn tail) and which to remove (a torn header). Only those
+// files are recorded, so it holds no bytes of clean files. ReloadStats.Tail
+// carries it out of ReloadBatch, ReloadAll and the Reloader.
+type TailRepair struct {
+	walked int          // batch files the pass walked
+	files  []fileRepair // the walked files that need work
+}
+
+// fileRepair is one batch file's verdict: remove it whole, or rewrite it to
+// keep.
+type fileRepair struct {
+	file      BatchFile
+	remove    bool
+	keep      []byte
+	ghosts    int
+	tornBytes int64
+}
+
+// add records one walked file, keeping its verdict only if it needs work.
+func (t *TailRepair) add(f BatchFile, w *fileWalk) {
+	t.walked++
+	if !w.headerTorn && w.dropped == 0 && w.tornBytes == 0 {
+		return
+	}
+	t.files = append(t.files, fileRepair{file: f, remove: w.headerTorn, keep: w.keep, ghosts: w.dropped, tornBytes: w.tornBytes})
+}
+
+func (t *TailRepair) merge(o TailRepair) {
+	t.walked += o.walked
+	t.files = append(t.files, o.files...)
+}
+
+// Apply repairs the devices the pass walked without reading a batch file:
+// per device it discards stale repair sidecars, realigns the pepoch marker,
+// then rewrites or removes each file the pass found in need. It refuses a
+// pass that did not walk every batch file on the devices, since an
+// unwalked file may hold ghosts.
 //
-// A restarted instance must run this before logging again. Records beyond
-// pepoch are ghosts — recovery (correctly) filtered them against the crashed
-// pepoch, but once the restarted instance advances the persistent epoch past
-// their epochs, the next recovery's pepoch filter would wrongly admit them;
-// and new batches must never be appended after a torn tail the decoder would
-// stop at. Kept frames are copied byte-exact (no re-encode), so a repaired
-// file replays identically.
-//
-// Repair is itself crash-safe and convergent: each rewrite is staged in a
-// "repair~" sidecar, synced, and atomically renamed over the original, so a
-// power failure at any point leaves either the untouched original (plus a
-// stale sidecar the next pass discards) or the fully repaired file. Running
-// RepairTail again after a completed pass finds nothing to do.
-func RepairTail(devices []*simdisk.Device, pepoch uint32) (RepairStats, error) {
+// Each rewrite is staged in a "repair~" sidecar, synced, and atomically
+// renamed over the original, so a power failure at any point leaves either
+// the untouched original (plus a stale sidecar the next pass discards) or
+// the fully repaired file; a rerun — RepairTail, or a fresh reload and
+// Apply — converges.
+func (t TailRepair) Apply(devices []*simdisk.Device) (RepairStats, error) {
 	var st RepairStats
+	logs := 0
+	for _, dev := range devices {
+		logs += len(dev.List("log-"))
+	}
+	if logs != t.walked {
+		return st, fmt.Errorf("wal: tail repair walked %d of the devices' %d batch files", t.walked, logs)
+	}
 	for _, dev := range devices {
 		// Discard sidecars a crashed repair pass left behind; their
 		// originals are intact, and a torn sidecar is unusable anyway.
@@ -114,81 +146,103 @@ func RepairTail(devices []*simdisk.Device, pepoch uint32) (RepairStats, error) {
 			st.FilesRewritten++
 			st.TornBytes += tornPe
 		}
-		for _, name := range dev.List("log-") {
-			r, err := dev.Open(name)
-			if err != nil {
-				return st, err
-			}
-			data, err := r.ReadAll()
-			if err != nil {
-				return st, err
-			}
-			kept, ghosts, tornBytes, headerTorn := scanValidFrames(data, pepoch)
-			if headerTorn {
-				if err := dev.Remove(name); err != nil {
-					return st, err
-				}
-				st.FilesRemoved++
-				st.TornBytes += int64(len(data))
+		for _, f := range t.files {
+			if f.file.Device != dev {
 				continue
 			}
-			if ghosts == 0 && tornBytes == 0 {
-				continue
-			}
-			side := repairSidecarPrefix + name
-			w := dev.Create(side)
-			if _, err := w.Write(kept); err != nil {
+			if err := f.apply(&st); err != nil {
 				return st, err
 			}
-			if err := w.Sync(); err != nil {
-				return st, err
-			}
-			if err := dev.Rename(side, name); err != nil {
-				return st, err
-			}
-			st.FilesRewritten++
-			st.GhostRecords += ghosts
-			st.TornBytes += tornBytes
 		}
 	}
 	return st, nil
 }
 
-// scanValidFrames walks the framed records of one batch file and returns the
-// header plus the raw bytes of every frame with epoch <= pepoch, the number
-// of ghost frames dropped, and how many trailing bytes were torn/corrupt.
-// Frames are validated the same way decodeFile does (length + CRC), but the
-// payload is never decoded — only its leading TS word is read. A file whose
-// header is itself truncated or corrupt (created but never synced before the
-// crash) reports headerTorn: it holds nothing replayable.
-func scanValidFrames(data []byte, pepoch uint32) (kept []byte, ghosts int, tornBytes int64, headerTorn bool) {
-	_, _, _, rest, err := decodeFileHeader(data)
-	if err != nil {
-		return nil, 0, 0, true
+func (f fileRepair) apply(st *RepairStats) error {
+	dev, name := f.file.Device, f.file.Name
+	if f.remove {
+		if err := dev.Remove(name); err != nil {
+			return err
+		}
+		st.FilesRemoved++
+		st.TornBytes += f.tornBytes
+		return nil
 	}
-	kept = append(kept, data[:fileHeaderSize]...)
-	for len(rest) > 0 {
-		if len(rest) < 8 {
-			tornBytes = int64(len(rest))
-			break
-		}
-		plen := int(binary.LittleEndian.Uint32(rest))
-		crc := binary.LittleEndian.Uint32(rest[4:])
-		if plen <= 0 || len(rest) < 8+plen {
-			tornBytes = int64(len(rest))
-			break
-		}
-		payload := rest[8 : 8+plen]
-		if crc32.Checksum(payload, crcTable) != crc {
-			tornBytes = int64(len(rest))
-			break
-		}
-		if plen >= 8 && engine.EpochOf(binary.LittleEndian.Uint64(payload)) > pepoch {
-			ghosts++
-		} else {
-			kept = append(kept, rest[:8+plen]...)
-		}
-		rest = rest[8+plen:]
+	side := repairSidecarPrefix + name
+	w := dev.Create(side)
+	if _, err := w.Write(f.keep); err != nil {
+		return err
 	}
-	return kept, ghosts, tornBytes, false
+	if err := w.Sync(); err != nil {
+		return err
+	}
+	if err := dev.Rename(side, name); err != nil {
+		return err
+	}
+	st.FilesRewritten++
+	st.GhostRecords += f.ghosts
+	st.TornBytes += f.tornBytes
+	return nil
+}
+
+// RepairTail rewrites every log batch file so it contains exactly the
+// records recovery replayed: frames whose epoch is at or below pepoch, with
+// torn or corrupt trailing bytes removed. Files whose header never became
+// durable (created but unsynced at the crash) hold nothing replayable and
+// are removed whole.
+//
+// A restarted instance must repair before logging again. Records beyond
+// pepoch are ghosts — recovery (correctly) filtered them against the crashed
+// pepoch, but once the restarted instance advances the persistent epoch past
+// their epochs, the next recovery's pepoch filter would wrongly admit them;
+// and new batches must never be appended after a torn tail the decoder would
+// stop at. Kept frames are copied byte-exact (no re-encode), so a repaired
+// file replays identically.
+//
+// Restart does not call RepairTail: it applies the TailRepair its reload
+// pass already decided. RepairTail is the standalone form of the same
+// decision — it walks every file with the reload's frame walk (devices read
+// concurrently, payloads never decoded) and then Applies the verdicts — and
+// is the reference that fused repair is tested against. Repair is
+// crash-safe and convergent (see TailRepair.Apply): running RepairTail
+// again after a completed pass finds nothing to do.
+func RepairTail(devices []*simdisk.Device, pepoch uint32) (RepairStats, error) {
+	tails := make([]TailRepair, len(devices))
+	errs := make([]error, len(devices))
+	var wg sync.WaitGroup
+	for i, dev := range devices {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tails[i], errs[i] = walkDevice(dev, pepoch)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return RepairStats{}, err
+	}
+	var t TailRepair
+	for _, dt := range tails {
+		t.merge(dt)
+	}
+	return t.Apply(devices)
+}
+
+// walkDevice reads one device's batch files in order and walks each
+// without decoding; only the files that need work keep their bytes.
+func walkDevice(dev *simdisk.Device, pepoch uint32) (TailRepair, error) {
+	var t TailRepair
+	for _, name := range dev.List("log-") {
+		f := BatchFile{Device: dev, Name: name}
+		data, err := readFileBytes(f)
+		if err != nil {
+			return t, err
+		}
+		w, err := walkFile(data, pepoch, 0, false)
+		if err != nil {
+			return t, err
+		}
+		t.add(f, &w)
+	}
+	return t, nil
 }

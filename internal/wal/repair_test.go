@@ -54,26 +54,27 @@ func writeFile(t *testing.T, dev *simdisk.Device, name string, data []byte) {
 	}
 }
 
-// TestRepairTailAdversarialShapes exercises the file shapes the fault plane
-// produces at a power failure, table-driven: torn partial-sector tails
-// (mid-frame cuts, corrupted CRCs), files whose header never became
-// durable, and ghost frames beyond the durable cut. Every case must repair
-// to a file that reloads cleanly, and a second pass must find nothing.
-func TestRepairTailAdversarialShapes(t *testing.T) {
+// repairShape is one single-file crash shape of a batch file.
+type repairShape struct {
+	name string
+	data []byte
+	// pepoch is the durable cut repair runs at.
+	pepoch uint32
+	// wantEntries after repair when reloading with a wide-open pepoch:
+	// ghosts and torn bytes must be physically gone.
+	wantEntries int
+	wantRemoved bool
+}
+
+// repairShapes lists the file shapes the fault plane produces at a power
+// failure: torn partial-sector tails (mid-frame cuts, corrupted CRCs),
+// files whose header never became durable, and ghost frames beyond the
+// durable cut.
+func repairShapes(t *testing.T) []repairShape {
 	recs := commitRecords(t, 1, 2, 5)
 	full := frames(recs, 0, 0)
 	valid2 := frames(recs[:2], 0, 0) // epochs 1,2 only
-
-	cases := []struct {
-		name string
-		data []byte
-		// pepoch is the durable cut repair runs at.
-		pepoch uint32
-		// wantEntries after repair when reloading with a wide-open pepoch:
-		// ghosts and torn bytes must be physically gone.
-		wantEntries int
-		wantRemoved bool
-	}{
+	return []repairShape{
 		{"clean file untouched", append([]byte(nil), valid2...), 2, 2, false},
 		{"torn mid-frame cut", append(append([]byte(nil), full...), full[fileHeaderSize:fileHeaderSize+11]...), 5, 3, false},
 		{"torn partial-sector garbage", append(append([]byte(nil), valid2...), 0xDE, 0xAD, 0xBE), 2, 2, false},
@@ -83,11 +84,18 @@ func TestRepairTailAdversarialShapes(t *testing.T) {
 			return d
 		}(), 5, 2, false},
 		{"ghost frames beyond pepoch", append([]byte(nil), full...), 2, 2, false},
+		{"ghost between kept frames", frames([]*txn.Committed{recs[0], recs[2], recs[1]}, 0, 0), 2, 2, false},
 		{"empty file (created, never synced)", nil, 5, 0, true},
 		{"torn header", full[:fileHeaderSize-3], 5, 0, true},
 		{"garbage header", []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, 5, 0, true},
 	}
-	for _, tc := range cases {
+}
+
+// TestRepairTailAdversarialShapes exercises every repairShape table-driven.
+// Every case must repair to a file that reloads cleanly, and a second pass
+// must find nothing.
+func TestRepairTailAdversarialShapes(t *testing.T) {
+	for _, tc := range repairShapes(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			dev := simdisk.New("d", simdisk.Unlimited())
 			name := BatchFileName(0, 0)
