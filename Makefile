@@ -40,9 +40,7 @@ torture:
 	$(GO) test -race -count=1 -timeout 120s -run 'TestTortureShort|TestFutureCrashSemantics' -v .
 	$(GO) test -race -count=1 -timeout 120s ./internal/torture/
 
-# A tiny end-to-end run of the bench binary: logs a short smallbank run on
-# two simulated devices and recovers it with every scheme through both the
-# serial and pipelined reload paths, reports durable-commit latency
+# A tiny end-to-end run of the bench binary: reports durable-commit latency
 # percentiles from the frontend's futures, measures forward throughput +
 # allocs/txn under CL/PL/LL (the throughput experiment), and drives the
 # blueprint lifecycle through a crash -> Restart -> serve -> crash ->
@@ -61,16 +59,18 @@ torture:
 # any experiment listed here is missing its BENCH_<exp>.json (it skips on
 # checkouts that never ran smoke — the directory is gitignored).
 smoke:
-	$(GO) run ./cmd/pacman-bench -exp reload,latency,throughput,mixed,restart,torture,net,shard,gray,scaling -duration 300ms -workers 2 -json bench-results
+	$(GO) run ./cmd/pacman-bench -exp latency,throughput,mixed,restart,torture,net,shard,gray,scaling -duration 300ms -workers 2 -json bench-results
 	$(GO) test -count=1 -timeout 120s -run TestBenchArtifactsPresent .
 
 # The documentation gate: the spec-first doc-drift test (wire constants vs
 # docs/PROTOCOL.md's normative tables), the relative-link check over
-# README/ROADMAP/docs, and every runnable Example (Launch, Restart,
-# Frontend.Submit, client Dial) with its asserted output.
+# README/ROADMAP/docs, the knob-table drift check (every field of the
+# public config structs has a row in docs/ARCHITECTURE.md), and every
+# runnable Example (Launch, Restart, Frontend.Submit, client Dial) with its
+# asserted output.
 docs:
 	$(GO) test -count=1 -timeout 120s -run TestDocsProtocolDrift ./internal/wire/
-	$(GO) test -count=1 -timeout 120s -run TestDocsLinks .
+	$(GO) test -count=1 -timeout 120s -run 'TestDocsLinks|TestDocsKnobTable' .
 	$(GO) test -count=1 -timeout 120s -run Example . ./client/
 
 # The commit-hot-path regression guard: the BenchmarkCommitLogged* micro

@@ -16,8 +16,6 @@ import (
 	"time"
 
 	"pacman/internal/harness"
-	"pacman/internal/recovery"
-	"pacman/internal/wal"
 )
 
 // benchScale returns a scale small enough for testing.B iteration.
@@ -91,51 +89,6 @@ func BenchmarkFig20_Breakdown(b *testing.B) { runExp(b, harness.Fig20) }
 
 // BenchmarkFig21_GDG covers Figure 21: TPC-C dependency-graph construction.
 func BenchmarkFig21_GDG(b *testing.B) { runExp(b, harness.Fig21) }
-
-// BenchmarkReloadPipeline demonstrates the pipelined multi-device reload
-// path: the same crashed Smallbank command-log history (2 devices, ~12
-// batches, load-bound device bandwidth) is recovered with CLR-P through the
-// legacy serial feeder and through the pipelined reloader. The pipelined
-// variant's wall clock is lower because per-device readers stream batches
-// back-to-back while the decode pool and replay run inside the read stalls;
-// reported metrics expose the reload wall, replay stall, and overlap.
-//
-//	go test -bench=ReloadPipeline -benchtime=3x
-func BenchmarkReloadPipeline(b *testing.B) {
-	cfg := harness.RunConfig{
-		Workload:     harness.Smallbank,
-		Logging:      wal.Command,
-		Devices:      2,
-		DeviceConfig: harness.LoadBoundSSD(),
-		Workers:      2,
-		Duration:     600 * time.Millisecond,
-	}
-	run, err := harness.Run(cfg, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name   string
-		serial bool
-	}{{"serial", true}, {"pipelined", false}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var last *recovery.Result
-			for i := 0; i < b.N; i++ {
-				res, err := run.FreshRecovery(recovery.CLRP, 4, func(o *recovery.Options) {
-					o.SerialReload = tc.serial
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(float64(last.LogTotal.Milliseconds()), "logtotal-ms")
-			b.ReportMetric(float64(last.ReloadWall.Milliseconds()), "reloadwall-ms")
-			b.ReportMetric(float64(last.ReloadStall.Milliseconds()), "stall-ms")
-			b.ReportMetric(float64(last.ReloadOverlap.Milliseconds()), "overlap-ms")
-		})
-	}
-}
 
 // BenchmarkTable2_Bandwidth covers Table 2: device bandwidth accounting.
 func BenchmarkTable2_Bandwidth(b *testing.B) { runExp(b, harness.Table2) }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"pacman/internal/checkpoint"
 	"pacman/internal/engine"
 	"pacman/internal/recovery"
 	"pacman/internal/wal"
@@ -105,15 +104,6 @@ func Launch(bp Blueprint, opts Options) (*DB, error) {
 		return nil, err
 	}
 	return d, nil
-}
-
-// MustLaunch is Launch that panics on error.
-func MustLaunch(bp Blueprint, opts Options) *DB {
-	d, err := Launch(bp, opts)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }
 
 // Restart brings a crashed (or cleanly closed) instance back into service
@@ -222,18 +212,6 @@ func Restart(devices []*Device, bp Blueprint, cfg RecoverConfig) (*DB, *Recovery
 	d.mgr.Rebase(resume)
 	d.resumePepoch = resume - 1
 	d.ckptSeed = res.CheckpointID
-	if cfg.SkipCheckpoint {
-		// Recovery didn't look, but checkpoints may still sit on the
-		// devices: new ones must number past them or they clobber shard
-		// files and lose FindLatest to a stale manifest.
-		cm, err := checkpoint.FindLatest(devices)
-		if err != nil {
-			return nil, nil, err
-		}
-		if cm != nil {
-			d.ckptSeed = cm.ID
-		}
-	}
 
 	if err := d.Start(); err != nil {
 		return nil, nil, err

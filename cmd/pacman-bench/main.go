@@ -38,7 +38,6 @@ var experiments = map[string]func(io.Writer, harness.Scale) error{
 	"fig21":      harness.Fig21,
 	"table2":     harness.Table2,
 	"table3":     harness.Table3,
-	"reload":     harness.FigReload,
 	"latency":    harness.FigLatency,
 	"throughput": harness.FigThroughput,
 	"mixed":      harness.FigMixed,
@@ -78,7 +77,7 @@ func writeJSON(dir, id string, res benchResult) error {
 }
 
 func main() {
-	exp := flag.String("exp", "", "experiment id (fig11a..fig21, table1..table3, reload, latency, throughput, mixed, restart, torture, net, shard, gray, scaling, or 'all')")
+	exp := flag.String("exp", "", "experiment id (fig11a..fig21, table1..table3, latency, throughput, mixed, restart, torture, net, shard, gray, scaling, or 'all')")
 	full := flag.Bool("full", false, "full scale (minutes per experiment) instead of bench scale")
 	list := flag.Bool("list", false, "list experiment ids")
 	duration := flag.Duration("duration", 0, "override logging-run duration")

@@ -44,7 +44,6 @@ func benchCommitLogged(b *testing.B, kind wal.Kind, wk workload.Workload) {
 	b.Helper()
 	wk.Populate(workload.DirectPopulate{})
 	mgr := txn.NewManager(wk.DB(), txn.Config{
-		MultiVersion:  true,
 		EpochInterval: time.Millisecond,
 		MaxRetries:    1000,
 	})

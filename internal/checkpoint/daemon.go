@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pacman/internal/engine"
 	"pacman/internal/mvcc"
 	"pacman/internal/simdisk"
 	"pacman/internal/txn"
@@ -20,12 +19,10 @@ type Daemon struct {
 	devices  []*simdisk.Device
 	cfg      Config
 	interval time.Duration
-	// views, when set, supplies pinned snapshot views: each checkpoint
-	// streams a consistent cut concurrently with live commits while the
-	// view pin keeps the multi-version garbage collector from reclaiming
-	// the history under it. Nil (single-version instances) falls back to
-	// snapshotting at the raw snapshot epoch, which is only consistent
-	// because version chains then hold exactly the latest committed data.
+	// views supplies pinned snapshot views: each checkpoint streams a
+	// consistent cut concurrently with live commits while the view pin
+	// keeps the multi-version garbage collector from reclaiming the history
+	// under it.
 	views *mvcc.Manager
 
 	nextID   atomic.Uint32
@@ -40,7 +37,7 @@ type Daemon struct {
 	last *Manifest
 }
 
-// NewDaemon builds a checkpoint daemon. views may be nil (see Daemon.views).
+// NewDaemon builds a checkpoint daemon that pins its cuts through views.
 func NewDaemon(mgr *txn.Manager, views *mvcc.Manager, devices []*simdisk.Device, cfg Config, interval time.Duration) *Daemon {
 	return &Daemon{mgr: mgr, views: views, devices: devices, cfg: cfg, interval: interval, stopCh: make(chan struct{})}
 }
@@ -89,20 +86,14 @@ func (d *Daemon) Stop() {
 // released epoch and streams that consistent cut to the devices while
 // commits keep flowing — writers are never blocked or aborted, and the
 // view pin (not a frozen write path) is what keeps the cut stable under
-// them. Without a view manager it snapshots at the raw snapshot epoch.
+// them.
 func (d *Daemon) RunOnce() (*Manifest, error) {
 	d.running.Store(true)
 	defer d.running.Store(false)
 	id := d.nextID.Add(1)
-	var ts engine.TS
-	if d.views != nil {
-		v := d.views.AcquireFresh()
-		defer v.Close()
-		ts = v.TS()
-	} else {
-		ts = engine.MakeTS(d.mgr.SnapshotEpoch(), ^uint32(0))
-	}
-	m, err := Write(d.mgr.DB(), d.devices, d.cfg, id, ts)
+	v := d.views.AcquireFresh()
+	defer v.Close()
+	m, err := Write(d.mgr.DB(), d.devices, d.cfg, id, v.TS())
 	if err != nil {
 		return nil, err
 	}

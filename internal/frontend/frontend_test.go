@@ -29,7 +29,6 @@ func newFixture(t testing.TB, kind wal.Kind) *fixture {
 	bank := workload.NewBank(64)
 	bank.Populate(workload.DirectPopulate{})
 	mgr := txn.NewManager(bank.DB(), txn.Config{
-		MultiVersion:  true,
 		EpochInterval: time.Millisecond,
 		MaxRetries:    100000,
 	})

@@ -227,7 +227,6 @@ func Run(cfg RunConfig, clean bool) (*RunResult, error) {
 	w := cfg.makeWorkload()
 	w.Populate(workload.DirectPopulate{})
 	mgr := txn.NewManager(w.DB(), txn.Config{
-		MultiVersion:  true,
 		EpochInterval: cfg.EpochInterval,
 		MaxRetries:    cfg.MaxRetries,
 	})

@@ -73,20 +73,6 @@ func ScaledSSD() simdisk.Config {
 	}
 }
 
-// LoadBoundSSD scales the read bandwidth down far enough that log loading,
-// not replay, bounds recovery — the regime of the paper's headline claim
-// ("recovery time should be bounded by the time to load the log"). The
-// ratio matters, not the absolute number: the paper pairs 550 MB/s SSDs
-// with 32 replay cores, so a bench-scale single-core replayer needs a
-// proportionally slower device for loading to stay the bottleneck.
-func LoadBoundSSD() simdisk.Config {
-	return simdisk.Config{
-		ReadBandwidth:  4 << 20,
-		WriteBandwidth: 40 << 20,
-		SyncLatency:    300 * time.Microsecond,
-	}
-}
-
 func (s Scale) tpcc() workload.TPCCConfig {
 	cfg := workload.DefaultTPCCConfig()
 	cfg.Warehouses = s.Warehouses

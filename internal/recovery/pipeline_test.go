@@ -3,25 +3,13 @@ package recovery
 import (
 	"testing"
 
+	"pacman/internal/checkpoint"
 	"pacman/internal/wal"
 )
 
-// TestPipelinedMatchesSerialReload recovers the same crashed history through
-// the legacy serial feeder and the pipelined reloader, for every scheme, and
-// requires identical recovered state.
-func TestPipelinedMatchesSerialReload(t *testing.T) {
-	for _, scheme := range []Scheme{PLR, LLR, LLRP, CLR, CLRP} {
-		f := runFixture(t, scheme.LogKind(), 200, 10, true, false, int64(scheme)+42)
-		serial, _ := recoverInto(t, f, scheme, 2, func(o *Options) { o.SerialReload = true })
-		pipe, pres := recoverInto(t, f, scheme, 2, nil)
-		sameState(t, snapshotState(serial.DB()), snapshotState(pipe.DB()), scheme.String())
-		if pres.Entries == 0 {
-			t.Errorf("%v: pipelined replayed no entries", scheme)
-		}
-	}
-}
-
-// TestPipelinedResultAccounting checks the overlap/stall breakdown fields.
+// TestPipelinedResultAccounting checks the overlap/stall breakdown fields,
+// and that the reloader's entry and byte counts match the batch-at-a-time
+// reference reload of the same devices.
 func TestPipelinedResultAccounting(t *testing.T) {
 	f := runFixture(t, wal.Command, 300, 0, true, false, 7)
 	_, res := recoverInto(t, f, CLRP, 2, nil)
@@ -39,41 +27,50 @@ func TestPipelinedResultAccounting(t *testing.T) {
 		// nonzero they must sum back to the wall.
 		t.Errorf("stall %v + overlap %v != wall %v", res.ReloadStall, res.ReloadOverlap, res.ReloadWall)
 	}
-	_, sres := recoverInto(t, f, CLRP, 2, func(o *Options) { o.SerialReload = true })
-	if sres.Entries != res.Entries {
-		t.Errorf("entry counts differ: serial %d, pipelined %d", sres.Entries, res.Entries)
+	_, ref, err := wal.ReloadAll(f.devices, res.Pepoch, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sres.LogBytes != res.LogBytes {
-		t.Errorf("byte counts differ: serial %d, pipelined %d", sres.LogBytes, res.LogBytes)
+	if res.Entries != 300 || ref.Entries != res.Entries {
+		t.Errorf("entries: pipelined %d, reference %d, want 300", res.Entries, ref.Entries)
+	}
+	if ref.Bytes != res.LogBytes {
+		t.Errorf("bytes: pipelined %d, reference %d", res.LogBytes, ref.Bytes)
 	}
 }
 
-// TestCheckpointFilterPushdown recovers with a checkpoint via both reload
-// paths: the reader-side filter must drop exactly what the serial feeder's
-// post-reload filter drops, and both must replay to the same state.
+// TestCheckpointFilterPushdown recovers with a checkpoint: the readers'
+// filter must drop exactly the durable entries the checkpoint covers, and
+// checkpoint plus the remaining log must rebuild the forward state.
 func TestCheckpointFilterPushdown(t *testing.T) {
 	for _, scheme := range []Scheme{LLR, CLRP} {
 		f := runFixture(t, scheme.LogKind(), 240, 0, true, true, 99)
-		serial, sres := recoverInto(t, f, scheme, 2, func(o *Options) { o.SerialReload = true })
-		pipe, pres := recoverInto(t, f, scheme, 2, nil)
-		sameState(t, snapshotState(serial.DB()), snapshotState(pipe.DB()), scheme.String())
-		if pres.Filtered != sres.Filtered {
-			t.Errorf("%v: filtered %d entries in readers, serial filtered %d",
-				scheme, pres.Filtered, sres.Filtered)
+		want := snapshotState(f.bank.DB())
+		got, res := recoverInto(t, f, scheme, 2, nil)
+		sameState(t, want, snapshotState(got.DB()), scheme.String())
+
+		man, err := checkpoint.FindLatest(f.devices)
+		if err != nil || man == nil {
+			t.Fatalf("%v: no checkpoint on the devices (%v)", scheme, err)
 		}
-		if pres.Filtered == 0 {
-			t.Errorf("%v: checkpoint filter never fired (fixture must log before the checkpoint)", scheme)
+		all, _, err := wal.ReloadAll(f.devices, res.Pepoch, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if pres.Entries != sres.Entries {
-			t.Errorf("%v: entries %d vs %d", scheme, pres.Entries, sres.Entries)
+		covered := 0
+		for _, e := range all {
+			if e.TS <= man.TS {
+				covered++
+			}
+		}
+		if covered == 0 {
+			t.Errorf("%v: checkpoint covers no entry (fixture must log before the checkpoint)", scheme)
+		}
+		if res.Filtered != covered {
+			t.Errorf("%v: filtered %d entries in readers, checkpoint covers %d", scheme, res.Filtered, covered)
+		}
+		if res.Entries != len(all)-covered {
+			t.Errorf("%v: replayed %d entries, want %d", scheme, res.Entries, len(all)-covered)
 		}
 	}
-}
-
-// TestPipelinedTightWindow exercises the bounded staging window end to end.
-func TestPipelinedTightWindow(t *testing.T) {
-	f := runFixture(t, wal.Command, 200, 0, true, false, 3)
-	serial, _ := recoverInto(t, f, CLRP, 2, func(o *Options) { o.SerialReload = true })
-	pipe, _ := recoverInto(t, f, CLRP, 2, func(o *Options) { o.ReloadWindow = 1 })
-	sameState(t, snapshotState(serial.DB()), snapshotState(pipe.DB()), "window=1")
 }

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pacman/internal/analysis"
@@ -121,16 +120,6 @@ type Options struct {
 	Mode sched.Mode
 	// Breakdown, if set, accumulates the Figure 20 phase split (CLR-P).
 	Breakdown *metrics.Breakdown
-	// SkipCheckpoint skips checkpoint recovery even if one exists (used by
-	// experiments that isolate log recovery).
-	SkipCheckpoint bool
-	// SerialReload selects the legacy single-feeder reload path: one
-	// goroutine reloading batches one at a time. It is the measured
-	// baseline for the pipelined reloader and is never faster.
-	SerialReload bool
-	// ReloadWindow bounds how many batches the pipelined reloader may
-	// stage ahead of replay (default 4).
-	ReloadWindow int
 }
 
 // Result reports the phases of a recovery run, matching the splits the
@@ -192,10 +181,14 @@ type Result struct {
 
 // Run performs a full database recovery. The catalog must already hold the
 // workload's schema; when no checkpoint exists the caller must have
-// installed the deterministic initial population beforehand.
+// installed the deterministic initial population beforehand. A log record
+// naming a table or procedure the catalog lacks fails the run.
 func Run(opts Options) (*Result, error) {
 	if opts.Scheme == Auto {
 		return nil, errors.New("recovery: scheme Auto must be resolved before Run (see SchemeFor)")
+	}
+	if len(opts.Devices) == 0 {
+		return nil, errors.New("recovery: no devices to recover from")
 	}
 	if opts.Threads < 1 {
 		opts.Threads = 1
@@ -217,24 +210,22 @@ func Run(opts Options) (*Result, error) {
 
 	// Stage 1: checkpoint recovery.
 	var ckptTS engine.TS
-	if !opts.SkipCheckpoint {
-		man, err := checkpoint.FindLatest(opts.Devices)
+	man, err := checkpoint.FindLatest(opts.Devices)
+	if err != nil {
+		return nil, err
+	}
+	if man != nil {
+		start := time.Now()
+		deferIndex := opts.Scheme == PLR
+		stats, err := checkpoint.Restore(opts.DB, opts.Devices, man, opts.Threads, deferIndex)
 		if err != nil {
 			return nil, err
 		}
-		if man != nil {
-			start := time.Now()
-			deferIndex := opts.Scheme == PLR
-			stats, err := checkpoint.Restore(opts.DB, opts.Devices, man, opts.Threads, deferIndex)
-			if err != nil {
-				return nil, err
-			}
-			res.CheckpointTotal = time.Since(start)
-			res.CheckpointReload = stats.ReloadTime
-			res.CheckpointRows = stats.Rows
-			res.CheckpointID = man.ID
-			ckptTS = man.TS
-		}
+		res.CheckpointTotal = time.Since(start)
+		res.CheckpointReload = stats.ReloadTime
+		res.CheckpointRows = stats.Rows
+		res.CheckpointID = man.ID
+		ckptTS = man.TS
 	}
 
 	// The resume point: past everything durable, whether it arrived through
@@ -305,14 +296,10 @@ func (f *feed) each(res *Result, fn func([]*wal.Entry) error) error {
 // scheme-specific consumer: per-device readers and a shared decode pool
 // reload batch N+1..N+k while the consumer replays batch N.
 func replayLog(opts Options, pepoch uint32, ckptTS engine.TS, res *Result) error {
-	if opts.SerialReload {
-		return replayLogSerial(opts, pepoch, ckptTS, res)
-	}
 	rl, err := wal.NewReloader(opts.Devices, wal.ReloadOptions{
 		Pepoch:        pepoch,
 		CkptTS:        ckptTS,
 		DecodeWorkers: opts.Threads,
-		Window:        opts.ReloadWindow,
 	})
 	if err != nil {
 		return err
@@ -330,65 +317,9 @@ func replayLog(opts Options, pepoch uint32, ckptTS engine.TS, res *Result) error
 	res.TornFiles = st.TornFiles
 	res.Filtered = st.Filtered
 	res.Tail = st.Tail
-	finishStallAccounting(res, f)
-	return replayErr
-}
-
-// replayLogSerial is the legacy baseline: one goroutine reloads batches one
-// at a time into a shallow channel. The producer-local stats need no
-// synchronization: they are read only after the drain loop observes the
-// channel close, which happens-after every producer write.
-func replayLogSerial(opts Options, pepoch uint32, ckptTS engine.TS, res *Result) error {
-	batches, err := wal.Discover(opts.Devices)
-	if err != nil {
-		return err
-	}
-	ch := make(chan wal.Batch, 2)
-	var abort atomic.Bool
-	var total wal.ReloadStats
-	var reloadWall time.Duration
-	go func() {
-		defer close(ch)
-		start := time.Now()
-		defer func() { reloadWall = time.Since(start) }()
-		for _, bf := range batches {
-			// A failed replay stops consuming; don't reload what nobody
-			// will ever replay.
-			if abort.Load() {
-				return
-			}
-			entries, stats, err := wal.ReloadBatch(bf, pepoch, ckptTS, opts.Threads)
-			total.Add(stats)
-			ch <- wal.Batch{Batch: bf.Batch, Entries: entries, Err: err}
-			if err != nil {
-				return
-			}
-		}
-	}()
-	f := &feed{ch: ch}
-	replayErr := dispatch(opts, f, res)
-	abort.Store(true)
-	// Drain so the producer always exits; only then are its stats final.
-	for range ch {
-	}
-	res.LogReload = total.ReadTime + total.DecodeTime
-	res.ReloadWall = reloadWall
-	res.LogBytes = total.Bytes
-	res.TornFiles = total.TornFiles
-	res.Filtered = total.Filtered
-	res.Tail = total.Tail
-	finishStallAccounting(res, f)
-	return replayErr
-}
-
-// finishStallAccounting derives the stall/overlap split of one reload
-// pipeline run.
-func finishStallAccounting(res *Result, f *feed) {
 	res.ReloadStall = f.stall.Load()
-	res.ReloadOverlap = res.ReloadWall - res.ReloadStall
-	if res.ReloadOverlap < 0 {
-		res.ReloadOverlap = 0
-	}
+	res.ReloadOverlap = max(res.ReloadWall-res.ReloadStall, 0)
+	return replayErr
 }
 
 // dispatch routes the feed to the scheme's consumer.
@@ -573,6 +504,9 @@ func replaySerialCommand(opts Options, f *feed, res *Result) error {
 			case wal.EntryTuple:
 				for _, w := range e.Writes {
 					t := opts.DB.TableByID(w.TableID)
+					if t == nil {
+						return fmt.Errorf("recovery: unknown table %d", w.TableID)
+					}
 					row, _ := t.GetOrCreateRow(w.Key)
 					row.Install(e.TS, w.After, w.Deleted, false)
 				}

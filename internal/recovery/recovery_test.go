@@ -9,8 +9,10 @@ import (
 	"pacman/internal/analysis"
 	"pacman/internal/checkpoint"
 	"pacman/internal/engine"
+	"pacman/internal/proc"
 	"pacman/internal/sched"
 	"pacman/internal/simdisk"
+	"pacman/internal/tuple"
 	"pacman/internal/txn"
 	"pacman/internal/wal"
 	"pacman/internal/workload"
@@ -359,6 +361,87 @@ func TestEmptyLogRecovery(t *testing.T) {
 		t.Errorf("entries = %d", res.Entries)
 	}
 	sameState(t, want, snapshotState(b2.DB()), "empty log")
+}
+
+// logExtraTable logs a short bank history plus writes to a fifth table,
+// Extra, that the plain bank catalog lacks. A command log carries the
+// writes as tuple images when adhoc is set, and otherwise as invocations of
+// a procedure that catalog cannot register.
+func logExtraTable(t *testing.T, kind wal.Kind, adhoc bool) []*simdisk.Device {
+	t.Helper()
+	b := workload.NewBank(10)
+	b.Populate(workload.DirectPopulate{})
+	extra, err := b.DB().AddTable(tuple.MustSchema("Extra",
+		tuple.Col("id", tuple.KindInt), tuple.Col("n", tuple.KindInt)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload.DirectPopulate{}.Seed(extra, 1, tuple.Tuple{tuple.I(1), tuple.I(0)})
+	touch, err := b.Registry().Register(b.DB(), &proc.Procedure{
+		Name:   "Touch",
+		Params: []proc.ParamDef{proc.P("k")},
+		Body: []proc.Stmt{
+			proc.Read("n", "Extra", proc.Pm("k"), "n"),
+			proc.Write("Extra", proc.Pm("k"), proc.Set("n", proc.Add(proc.V("n"), proc.CI(1)))),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := txn.NewManager(b.DB(), txn.DefaultConfig())
+	devices := []*simdisk.Device{simdisk.New("ssd0", simdisk.Unlimited())}
+	ls := wal.NewLogSet(mgr, wal.DefaultConfig(kind), devices)
+	w := mgr.NewWorker()
+	ls.AttachWorker(w)
+	ls.Start()
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 20; i++ {
+		tx := b.Generate(rng)
+		if _, err := w.Execute(tx.Proc, tx.Args, false, time.Now()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Execute(touch, proc.Args{proc.A(tuple.I(1))}, adhoc, time.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Retire()
+	mgr.AdvanceEpoch()
+	ls.Close()
+	return devices
+}
+
+// TestCatalogMismatchErrors: recovering a log into a catalog that lacks one
+// of its tables fails with an error under every scheme, whether the log
+// names the table in tuple images or through a procedure that uses it, and
+// so does recovering from no devices; no scheme panics.
+func TestCatalogMismatchErrors(t *testing.T) {
+	cases := []struct {
+		scheme Scheme
+		adhoc  bool
+	}{
+		{PLR, true}, {LLR, true}, {LLRP, true}, {CLR, true}, {CLRP, true},
+		{CLR, false}, {CLRP, false},
+	}
+	for _, c := range cases {
+		devices := logExtraTable(t, c.scheme.LogKind(), c.adhoc)
+		b := workload.NewBank(10)
+		b.Populate(workload.DirectPopulate{})
+		o := Options{
+			Scheme:   c.scheme,
+			DB:       b.DB(),
+			Registry: b.Registry(),
+			GDG:      buildGDG(b),
+			Devices:  devices,
+			Threads:  2,
+		}
+		if _, err := Run(o); err == nil {
+			t.Errorf("%v (ad hoc %v): recovered a log naming a table the catalog lacks", c.scheme, c.adhoc)
+		}
+		o.Devices = nil
+		if _, err := Run(o); err == nil {
+			t.Errorf("%v: recovered from no devices", c.scheme)
+		}
+	}
 }
 
 // randomCrashProperty runs the strongest invariant at several random crash

@@ -12,10 +12,10 @@ import (
 
 // installExec applies operations directly to the storage engine with no
 // latching: the schedule guarantees exclusive key access (Section 4.3.1's
-// latch-free property), so installation is a plain store.
+// latch-free property), so installation is a plain store of a single
+// version.
 type installExec struct {
-	ts     engine.TS
-	retain bool // keep version chains (multi-version recovery state)
+	ts engine.TS
 }
 
 // Read returns the currently replayed value of the row.
@@ -38,14 +38,14 @@ func (e *installExec) Write(t *engine.Table, key uint64, up []proc.ColUpdate) er
 			next[u.Col] = u.Val
 		}
 	}
-	row.Install(e.ts, next, false, e.retain)
+	row.Install(e.ts, next, false, false)
 	return nil
 }
 
 // Insert stores a full row image.
 func (e *installExec) Insert(t *engine.Table, key uint64, vals tuple.Tuple) error {
 	row, _ := t.GetOrCreateRow(key)
-	row.Install(e.ts, vals.Clone(), false, e.retain)
+	row.Install(e.ts, vals.Clone(), false, false)
 	return nil
 }
 
@@ -55,6 +55,6 @@ func (e *installExec) Delete(t *engine.Table, key uint64) error {
 	if !ok {
 		return nil
 	}
-	row.Install(e.ts, nil, true, e.retain)
+	row.Install(e.ts, nil, true, false)
 	return nil
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,21 +56,21 @@ func NewBreakdown() *metrics.Breakdown {
 	return metrics.NewBreakdown(PhaseWork, PhaseLoad, PhaseCheck, PhaseSched)
 }
 
-// Options tunes a Replayer.
+// Options tunes a Replayer. Replay recovers a single-version state, as
+// PACMAN does (Section 6.2).
 type Options struct {
 	// Threads caps true replay parallelism (the paper's recovery-thread
 	// count).
 	Threads int
 	Mode    Mode
-	// MultiVersion retains version chains during replay; PACMAN recovers a
-	// single-version state (Section 6.2), so this defaults off.
-	MultiVersion bool
-	// Window bounds in-flight batches in pipelined mode.
-	Window int
 	// Breakdown, if non-nil, accumulates the Figure 20 phase split. Use
 	// NewBreakdown.
 	Breakdown *metrics.Breakdown
 }
+
+// pipelineWindow bounds the batches in flight per block runner in
+// pipelined mode; the other modes run one batch at a time.
+const pipelineWindow = 4
 
 // Replayer executes log batches against the GDG. Usage: New, Start, Submit
 // one batch at a time (entries sorted by TS), then Finish.
@@ -109,16 +110,14 @@ func New(gdg *analysis.GDG, reg *proc.Registry, db *engine.Database, opts Option
 	if opts.Threads < 1 {
 		opts.Threads = 1
 	}
-	if opts.Window < 1 {
-		opts.Window = 4
-	}
-	if opts.Mode != Pipelined {
-		opts.Window = 1
+	window := 1
+	if opts.Mode == Pipelined {
+		window = pipelineWindow
 	}
 	r := &Replayer{gdg: gdg, reg: reg, db: db, opts: opts}
 	for b := 0; b < gdg.NumBlocks(); b++ {
 		r.runners = append(r.runners, &blockRunner{
-			r: r, block: b, queue: make(chan *batchWork, opts.Window),
+			r: r, block: b, queue: make(chan *batchWork, window),
 		})
 	}
 	return r
@@ -185,6 +184,7 @@ func (r *Replayer) Submit(entries []*wal.Entry) {
 		case wal.EntryCommand:
 			c := r.reg.ByID(e.ProcID)
 			if c == nil {
+				r.setErr(fmt.Errorf("sched: unknown procedure %d", e.ProcID))
 				continue
 			}
 			inst, err := c.NewInstance(e.Args)
@@ -202,6 +202,10 @@ func (r *Replayer) Submit(entries []*wal.Entry) {
 			// back to a deterministic block.
 			byBlock := make(map[int][]wal.WriteImage)
 			for _, w := range e.Writes {
+				if r.db.TableByID(w.TableID) == nil {
+					r.setErr(fmt.Errorf("sched: unknown table %d", w.TableID))
+					continue
+				}
 				b := r.gdg.TableOwner(w.TableID)
 				if b < 0 {
 					b = w.TableID % nb

@@ -137,7 +137,7 @@ func TestReplayMatchesSerialGroundTruth(t *testing.T) {
 			t.Fatal("unexpected entry kind")
 		}
 		c := serial.Registry().ByID(e.ProcID)
-		ex := &installExec{ts: e.TS, retain: false}
+		ex := &installExec{ts: e.TS}
 		if err := c.Execute(e.Args, ex); err != nil {
 			t.Fatal(err)
 		}

@@ -168,8 +168,7 @@ func (r *Replayer) buildTasks(pieces []*pieceInst, dynamic bool) []*task {
 			g := g
 			t := &task{}
 			t.run = func() error {
-				ex := &installExec{ts: p.ts, retain: r.opts.MultiVersion}
-				return p.inst.ExecutePiece(&g.filter, ex)
+				return p.inst.ExecutePiece(&g.filter, &installExec{ts: p.ts})
 			}
 			ch.addTask(t, g.accesses)
 			tasks = append(tasks, t)
@@ -285,13 +284,13 @@ func (r *Replayer) execWholePiece(p *pieceInst) error {
 		}
 		return nil
 	}
-	ex := &installExec{ts: p.ts, retain: r.opts.MultiVersion}
-	return p.inst.ExecutePiece(p.def.Filter, ex)
+	return p.inst.ExecutePiece(p.def.Filter, &installExec{ts: p.ts})
 }
 
-// installImage applies one logged after-image.
+// installImage applies one logged after-image; Submit has already rejected
+// images of tables the catalog lacks.
 func (r *Replayer) installImage(t *engine.Table, ts engine.TS, w wal.WriteImage) error {
 	row, _ := t.GetOrCreateRow(w.Key)
-	row.Install(ts, w.After, w.Deleted, r.opts.MultiVersion)
+	row.Install(ts, w.After, w.Deleted, false)
 	return nil
 }

@@ -25,10 +25,13 @@ func launchCluster(t *testing.T, shards, customers int) *testCluster {
 	t.Helper()
 	tc := &testCluster{cluster: NewSmallbankCluster(Config{Shards: shards, Customers: customers})}
 	for i := 0; i < shards; i++ {
-		db := pacman.MustLaunch(tc.cluster.ShardBlueprint(i), tc.cluster.ShardOptions(pacman.Options{
+		db, err := pacman.Launch(tc.cluster.ShardBlueprint(i), tc.cluster.ShardOptions(pacman.Options{
 			Logging:       pacman.CommandLogging,
 			EpochInterval: time.Millisecond,
 		}))
+		if err != nil {
+			t.Fatal(err)
+		}
 		srv := wire.NewServer(wire.ServerConfig{Workers: 2})
 		if err := srv.Attach(db); err != nil {
 			t.Fatal(err)
@@ -277,7 +280,10 @@ func TestMixedStreamRecovery(t *testing.T) {
 		Logging:       pacman.CommandLogging,
 		EpochInterval: time.Millisecond,
 	})
-	db := pacman.MustLaunch(bp, opts)
+	db, err := pacman.Launch(bp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fe := db.MustFrontend(pacman.FrontendConfig{})
 
 	gtidArg := func(g int64) pacman.Args { return pacman.Args{pacman.A(pacman.I(g))} }

@@ -41,11 +41,10 @@ var ErrConflict = errors.New("txn: conflict, validation failed")
 // visible row. It aborts the transaction.
 var ErrDuplicateKey = errors.New("txn: duplicate key")
 
-// Config tunes the transaction manager.
+// Config tunes the transaction manager. Commits always retain version
+// chains: snapshot views and checkpoints that run concurrently with
+// transactions read the history they keep.
 type Config struct {
-	// MultiVersion retains version chains on update (required for
-	// consistent checkpointing to run concurrently with transactions).
-	MultiVersion bool
 	// EpochInterval is the group-commit epoch length. The paper's SiloR
 	// setup uses 40ms epochs; tests use much shorter ones.
 	EpochInterval time.Duration
@@ -55,7 +54,7 @@ type Config struct {
 
 // DefaultConfig returns the standard configuration.
 func DefaultConfig() Config {
-	return Config{MultiVersion: true, EpochInterval: 10 * time.Millisecond, MaxRetries: 1000}
+	return Config{EpochInterval: 10 * time.Millisecond, MaxRetries: 1000}
 }
 
 // WriteRec is one tuple modification of a committed transaction, in the
@@ -748,10 +747,9 @@ func (t *T) commit() (engine.TS, error) {
 
 	// Phase 4: install and unlock. Versions come from the worker's pool so
 	// multi-version retention adds no per-write heap allocation.
-	retain := t.mgr.cfg.MultiVersion
 	for i := range t.writes {
 		w := &t.writes[i]
-		w.row.InstallPrepared(t.pool.Prepare(ts, w.data, w.deleted), retain)
+		w.row.InstallPrepared(t.pool.Prepare(ts, w.data, w.deleted), true)
 	}
 	unlock()
 	return ts, nil

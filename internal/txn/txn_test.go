@@ -255,25 +255,6 @@ func TestSerializability(t *testing.T) {
 	}
 }
 
-func TestSingleVersionMode(t *testing.T) {
-	b := workload.NewBank(4)
-	b.Populate(workload.DirectPopulate{})
-	cfg := DefaultConfig()
-	cfg.MultiVersion = false
-	m := NewManager(b.DB(), cfg)
-	w := m.NewWorker()
-	for i := 0; i < 5; i++ {
-		if _, err := w.Execute(b.Deposit,
-			proc.Args{proc.A(tuple.I(1)), proc.A(tuple.I(10)), proc.A(tuple.I(1))}, false, time.Now()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	row, _ := b.DB().Table("Current").GetRow(1)
-	if row.VersionCount() != 1 {
-		t.Errorf("single-version mode kept %d versions", row.VersionCount())
-	}
-}
-
 func TestEpochTicker(t *testing.T) {
 	_, m := setupBank(t, 4)
 	cfg := m.Config()

@@ -180,17 +180,9 @@ type Options struct {
 	// BatchEpochs is the number of epochs per log batch file (default 100,
 	// per the paper's Appendix A).
 	BatchEpochs uint32
-	// DisableSync skips fsync on log flushes (Table 3's "w/o fsync").
-	DisableSync bool
-	// SingleVersion disables the version chains kept on update (multi-
-	// version retention is the default and is required for online
-	// checkpointing to run concurrently with transactions).
-	SingleVersion bool
-	// CheckpointEvery enables periodic checkpointing at this interval.
+	// CheckpointEvery enables periodic checkpointing at this interval; each
+	// checkpoint writes with one thread per device.
 	CheckpointEvery time.Duration
-	// CheckpointThreads is the checkpoint writer thread count (default 1
-	// per device).
-	CheckpointThreads int
 	// MaxRetries bounds OCC retries per transaction before the conflict
 	// surfaces to the caller (default 10000).
 	MaxRetries int
@@ -328,7 +320,6 @@ func Adopt(db *engine.Database, reg *proc.Registry, opts Options) *DB {
 	d.db = db
 	d.reg = reg
 	d.mgr = txn.NewManager(db, txn.Config{
-		MultiVersion:  !opts.SingleVersion,
 		EpochInterval: d.opts.EpochInterval,
 		MaxRetries:    d.opts.MaxRetries,
 	})
@@ -367,7 +358,6 @@ func Open(opts Options) *DB {
 		}
 	}
 	d.mgr = txn.NewManager(d.db, txn.Config{
-		MultiVersion:  !opts.SingleVersion,
 		EpochInterval: opts.EpochInterval,
 		MaxRetries:    opts.MaxRetries,
 	})
@@ -381,22 +371,12 @@ func (d *DB) DefineTable(s *Schema) (*Table, error) {
 	return d.db.AddTable(s)
 }
 
-// MustDefineTable is DefineTable that panics on error.
-func (d *DB) MustDefineTable(s *Schema) *Table {
-	return d.db.MustAddTable(s)
-}
-
 // Register compiles and registers a stored procedure. Registration order
 // assigns the procedure IDs recorded in command logs, so it must match
 // between the logging run and recovery.
 func (d *DB) Register(p *Procedure) error {
 	_, err := d.reg.Register(d.db, p)
 	return err
-}
-
-// MustRegister is Register that panics on error.
-func (d *DB) MustRegister(p *Procedure) {
-	d.reg.MustRegister(d.db, p)
 }
 
 // Table returns a table handle.
@@ -410,7 +390,7 @@ func (d *DB) Table(name string) *Table { return d.db.Table(name) }
 func (d *DB) Seed(t *Table, key uint64, vals Tuple) {
 	d.seedHash.Row(t.Name(), key, vals)
 	r, _ := t.GetOrCreateRow(key)
-	r.Install(engine.MakeTS(0, 1), vals, false, !d.opts.SingleVersion)
+	r.Install(engine.MakeTS(0, 1), vals, false, true)
 }
 
 // Populate runs a seeding function against the catalog.
@@ -460,25 +440,21 @@ func (d *DB) Start() error {
 	// guards (NewSession, NewFrontend) keep rejecting.
 	d.started = true
 	d.mgr.StartEpochTicker()
-	if !d.opts.SingleVersion {
-		// The retention manager: version chains grow with forward processing
-		// and are cut back as the persistent-epoch frontier advances (the
-		// OnPepochAdvance kick below), or on the ticker when logging is off.
-		d.snap = mvcc.NewManager(d.db, mvcc.Config{
-			SnapshotEpoch:  d.mgr.SnapshotEpoch,
-			PersistedEpoch: d.PersistedEpoch,
-			Interval:       4 * d.opts.EpochInterval,
-		})
-	}
+	// The retention manager: version chains grow with forward processing
+	// and are cut back as the persistent-epoch frontier advances (the
+	// OnPepochAdvance kick below), or on the ticker when logging is off.
+	d.snap = mvcc.NewManager(d.db, mvcc.Config{
+		SnapshotEpoch:  d.mgr.SnapshotEpoch,
+		PersistedEpoch: d.PersistedEpoch,
+		Interval:       4 * d.opts.EpochInterval,
+	})
 	cfg := wal.Config{
-		Kind:          d.opts.Logging,
-		BatchEpochs:   d.opts.BatchEpochs,
-		FlushInterval: d.opts.EpochInterval / 4,
-		Sync:          !d.opts.DisableSync,
-		ResumeEpoch:   d.resumePepoch,
-	}
-	if d.snap != nil {
-		cfg.OnPepochAdvance = func(uint32) { d.snap.Kick() }
+		Kind:            d.opts.Logging,
+		BatchEpochs:     d.opts.BatchEpochs,
+		FlushInterval:   d.opts.EpochInterval / 4,
+		Sync:            true,
+		ResumeEpoch:     d.resumePepoch,
+		OnPepochAdvance: func(uint32) { d.snap.Kick() },
 	}
 	if d.opts.OnRelease != nil {
 		rel := d.opts.OnRelease
@@ -494,18 +470,9 @@ func (d *DB) Start() error {
 	}
 	d.logset = wal.NewLogSet(d.mgr, cfg, d.devices)
 	d.logset.Start()
-	if d.snap != nil {
-		d.snap.Start()
-	}
+	d.snap.Start()
 	if d.opts.CheckpointEvery > 0 {
-		ct := d.opts.CheckpointThreads
-		if ct <= 0 {
-			ct = len(d.devices)
-		}
-		d.daemon = checkpoint.NewDaemon(d.mgr, d.snap, d.devices, checkpoint.Config{
-			Threads:      ct,
-			IncludeSlots: d.opts.Logging == wal.Physical,
-		}, d.opts.CheckpointEvery)
+		d.daemon = checkpoint.NewDaemon(d.mgr, d.snap, d.devices, d.checkpointConfig(), d.opts.CheckpointEvery)
 		d.daemon.SeedIDs(d.ckptSeed)
 		d.daemon.Start()
 	}
@@ -617,13 +584,6 @@ func (d *DB) SyncStats() []SyncStats {
 	return d.logset.SyncStats()
 }
 
-// MustStart is Start that panics on error.
-func (d *DB) MustStart() {
-	if err := d.Start(); err != nil {
-		panic(err)
-	}
-}
-
 // catalogManifest builds the manifest describing this instance's catalog,
 // registration order, logging configuration, and seed fingerprint.
 func (d *DB) catalogManifest() *wal.CatalogManifest {
@@ -691,33 +651,34 @@ func (d *DB) CheckpointRunning() bool {
 	return d.daemon != nil && d.daemon.Running()
 }
 
-// Checkpoint takes one checkpoint immediately. Checkpoint ids increase
-// monotonically, and a restarted instance numbers past the checkpoint it
-// recovered from, so a newer checkpoint always wins FindLatest.
+// checkpointConfig is the checkpoint writer setup: one thread per device,
+// and slot numbers only where physical-log replay addresses rows by slot.
+func (d *DB) checkpointConfig() checkpoint.Config {
+	return checkpoint.Config{
+		Threads:      len(d.devices),
+		IncludeSlots: d.opts.Logging == wal.Physical,
+	}
+}
+
+// Checkpoint takes one checkpoint immediately, or returns ErrNotStarted
+// before Start. Checkpoint ids increase monotonically, and a restarted
+// instance numbers past the checkpoint it recovered from, so a newer
+// checkpoint always wins FindLatest.
 func (d *DB) Checkpoint() error {
+	if !d.started {
+		return ErrNotStarted
+	}
 	if d.daemon != nil {
 		_, err := d.daemon.RunOnce()
 		return err
 	}
-	ts := engine.MakeTS(d.mgr.SnapshotEpoch(), ^uint32(0))
-	if d.snap != nil {
-		// Pin the cut so garbage collection cannot truncate the history the
-		// checkpoint is streaming while commits continue alongside it.
-		v := d.snap.AcquireFresh()
-		defer v.Close()
-		ts = v.TS()
-	}
-	_, err := checkpoint.Write(d.db, d.devices, checkpoint.Config{
-		Threads:      len(d.devices),
-		IncludeSlots: d.opts.Logging == wal.Physical,
-	}, d.ckptSeed+d.manualCkpts.Add(1), ts)
+	// Pin the cut so garbage collection cannot truncate the history the
+	// checkpoint is streaming while commits continue alongside it.
+	v := d.snap.AcquireFresh()
+	defer v.Close()
+	_, err := checkpoint.Write(d.db, d.devices, d.checkpointConfig(), d.ckptSeed+d.manualCkpts.Add(1), v.TS())
 	return err
 }
-
-// ErrSingleVersion rejects snapshot reads on an instance running with
-// Options.SingleVersion: without retained version chains there is no
-// consistent historic cut to read.
-var ErrSingleVersion = errors.New("pacman: snapshot views require multi-version retention (unset Options.SingleVersion)")
 
 // Snapshot-view errors for explicit-epoch requests, re-exported so callers
 // can classify without importing internals.
@@ -741,9 +702,6 @@ func (d *DB) SnapshotView(epoch uint32) (*SnapshotView, error) {
 	if !d.started {
 		return nil, ErrNotStarted
 	}
-	if d.snap == nil {
-		return nil, ErrSingleVersion
-	}
 	if epoch == 0 {
 		return d.snap.Acquire(), nil
 	}
@@ -751,7 +709,7 @@ func (d *DB) SnapshotView(epoch uint32) (*SnapshotView, error) {
 }
 
 // MVCCStats reports the multi-version subsystem's counters (zero value on a
-// single-version or not-started instance).
+// not-started instance).
 func (d *DB) MVCCStats() MVCCStats {
 	if d.snap == nil {
 		return MVCCStats{}
@@ -809,8 +767,8 @@ func (d *DB) Crash() {
 	}
 }
 
-// ErrNotStarted is returned by NewSession and NewFrontend when the database
-// has not been started.
+// ErrNotStarted is returned by NewSession, NewFrontend, SnapshotView and
+// Checkpoint when the database has not been started.
 var ErrNotStarted = errors.New("pacman: database not started")
 
 // Future is the durable-commit handle returned by Frontend.SubmitRequest
@@ -900,11 +858,11 @@ type RecoverConfig struct {
 	// field — its scheme is an explicit parameter.
 	Scheme Scheme
 	// Serve configures the restarted instance's serving behavior (Restart
-	// only): EpochInterval, DisableSync, SingleVersion, CheckpointEvery,
-	// CheckpointThreads, MaxRetries, OnRelease. The logging kind, batch
-	// geometry, and devices always come from the manifest and the device
-	// slice — Logging, BatchEpochs, Devices, and ExistingDevices set here
-	// are overridden — and a zero EpochInterval inherits the crashed
+	// only): EpochInterval, CheckpointEvery, MaxRetries, ValueLogProcs,
+	// OnRelease, Health. The logging kind, batch geometry, and devices
+	// always come from the manifest and the device slice — Logging,
+	// BatchEpochs, Devices, DeviceConfig, and ExistingDevices set here are
+	// overridden or unused — and a zero EpochInterval inherits the crashed
 	// instance's group-commit cadence from the manifest.
 	Serve Options
 	// Threads is the recovery parallelism (default 1).
@@ -916,14 +874,6 @@ type RecoverConfig struct {
 	// Breakdown receives the Figure 20 phase split when non-nil (use
 	// NewBreakdown).
 	Breakdown *Breakdown
-	// SkipCheckpoint ignores checkpoints on the devices.
-	SkipCheckpoint bool
-	// SerialReload uses the legacy one-batch-at-a-time log feeder instead
-	// of the pipelined multi-device reloader (baseline measurements only).
-	SerialReload bool
-	// ReloadWindow bounds how many batches the pipelined reloader stages
-	// ahead of replay (default 4).
-	ReloadWindow int
 }
 
 // Breakdown re-exports the metrics breakdown for recovery instrumentation.
@@ -939,7 +889,9 @@ func NewBreakdown() *Breakdown { return sched.NewBreakdown() }
 // serving. Applications should Restart instead, which validates a Blueprint
 // against the persisted manifest and returns a started, servable instance;
 // Recover remains for the experiment harness (measuring recovery in
-// isolation) and for devices that predate the manifest.
+// isolation) and for devices that predate the manifest. A catalog that does
+// not match the log (a record naming a missing table or procedure) and an
+// empty device slice fail with an error.
 func (d *DB) Recover(from []*Device, scheme Scheme, cfg RecoverConfig) (*RecoveryResult, error) {
 	if d.started {
 		return nil, errors.New("pacman: recover into a fresh instance, not a started one")
@@ -956,9 +908,6 @@ func (d *DB) Recover(from []*Device, scheme Scheme, cfg RecoverConfig) (*Recover
 		DisableLatches: cfg.DisableLatches,
 		Mode:           cfg.Mode,
 		Breakdown:      cfg.Breakdown,
-		SkipCheckpoint: cfg.SkipCheckpoint,
-		SerialReload:   cfg.SerialReload,
-		ReloadWindow:   cfg.ReloadWindow,
 	}
 	if scheme == recovery.CLRP {
 		opts.GDG = d.Analyze()

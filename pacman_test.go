@@ -13,21 +13,27 @@ import (
 )
 
 // openBank opens a DB instance with the bank schema and procedures over the
-// public API.
+// public API. The catalog is fixed, so a definition error is a bug in the
+// test and panics.
 func openBank(opts Options) (*DB, *workload.Bank) {
 	b := workload.NewBank(40)
 	d := Open(opts)
 	// Rebuild the bank catalog through the public API (same order).
-	d.MustDefineTable(tuple.MustSchema("Family",
-		tuple.Col("id", tuple.KindInt), tuple.Col("Spouse", tuple.KindInt)))
-	d.MustDefineTable(tuple.MustSchema("Current",
-		tuple.Col("id", tuple.KindInt), tuple.Col("Value", tuple.KindInt)))
-	d.MustDefineTable(tuple.MustSchema("Saving",
-		tuple.Col("id", tuple.KindInt), tuple.Col("Value", tuple.KindInt)))
-	d.MustDefineTable(tuple.MustSchema("Stats",
-		tuple.Col("id", tuple.KindInt), tuple.Col("Count", tuple.KindInt)))
-	d.MustRegister(workload.BankTransferProc())
-	d.MustRegister(workload.BankDepositProc())
+	for _, s := range []*Schema{
+		tuple.MustSchema("Family", tuple.Col("id", tuple.KindInt), tuple.Col("Spouse", tuple.KindInt)),
+		tuple.MustSchema("Current", tuple.Col("id", tuple.KindInt), tuple.Col("Value", tuple.KindInt)),
+		tuple.MustSchema("Saving", tuple.Col("id", tuple.KindInt), tuple.Col("Value", tuple.KindInt)),
+		tuple.MustSchema("Stats", tuple.Col("id", tuple.KindInt), tuple.Col("Count", tuple.KindInt)),
+	} {
+		if _, err := d.DefineTable(s); err != nil {
+			panic(err)
+		}
+	}
+	for _, p := range []*Procedure{workload.BankTransferProc(), workload.BankDepositProc()} {
+		if err := d.Register(p); err != nil {
+			panic(err)
+		}
+	}
 	d.Populate(func(seed func(t *Table, key uint64, vals Tuple)) {
 		for i := 1; i <= 40; i++ {
 			spouse := int64(0)
@@ -343,6 +349,43 @@ func TestRecoverIntoStartedInstanceFails(t *testing.T) {
 	defer d.Close()
 	if _, err := d.Recover(d.Devices(), CLRP, RecoverConfig{}); err == nil {
 		t.Error("recover into a started instance accepted")
+	}
+}
+
+// TestRecoverRejectsMismatchedInput: DB.Recover takes its catalog on faith,
+// so a log naming a table the catalog lacks, and an empty device slice, must
+// come back as errors rather than panics.
+func TestRecoverRejectsMismatchedInput(t *testing.T) {
+	d, _ := openBank(Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
+	if _, err := d.DefineTable(tuple.MustSchema("Extra",
+		tuple.Col("id", tuple.KindInt), tuple.Col("n", tuple.KindInt))); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Register(&Procedure{
+		Name:   "Put",
+		Params: []proc.ParamDef{proc.P("k")},
+		Body:   []proc.Stmt{proc.Insert("Extra", proc.Pm("k"), proc.Pm("k"), proc.CI(1))},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	fe := d.MustFrontend(FrontendConfig{Workers: 1})
+	if _, err := fe.SubmitRequest(Request{Proc: "Put", Mode: ModeAdHoc, Args: Args{proc.A(tuple.I(1))}}).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	fe.Close()
+	d.Close()
+	d.Crash()
+	for _, scheme := range []Scheme{CLR, CLRP} {
+		d2, _ := openBank(Options{})
+		if _, err := d2.Recover(d.Devices(), scheme, RecoverConfig{Threads: 2}); err == nil {
+			t.Errorf("%v: recovered a log naming a table the catalog lacks", scheme)
+		}
+		if _, err := d2.Recover(nil, scheme, RecoverConfig{}); err == nil {
+			t.Errorf("%v: recovered from no devices", scheme)
+		}
 	}
 }
 
