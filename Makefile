@@ -78,14 +78,18 @@ docs:
 # 2000 iterations, so the async variant's held futures stay small) for the
 # Frontend submission path. The allocs/op columns are the contract — the
 # submit->execute->commit->encode->release pipeline stays at a handful of
-# allocations per transaction (see README "Performance"). Last,
+# allocations per transaction (see README "Performance"). Then
 # BenchmarkRestartPL restarts a checkpointed, torn physical-log image and
 # reports the device bytes one Restart reads (read-B/op) beside the log and
-# checkpoint sizes: the log is read once, tail repair included.
+# checkpoint sizes: the log is read once, tail repair included. Last,
+# BenchmarkReplayTPCC{Serial,PACMAN} replay one TPC-C command log by serial
+# re-execution (CLR's inner loop) and through the CLR-P scheduler on 2
+# threads; CLR-P should take no longer and allocate about as much.
 bench:
 	$(GO) test -run='^$$' -bench=BenchmarkCommitLogged -benchmem -count=1 -timeout 120s .
 	$(GO) test -run='^$$' -bench=BenchmarkFrontendSubmit -benchtime=2000x -benchmem -count=1 -timeout 120s .
 	$(GO) test -run='^$$' -bench=BenchmarkRestartPL -benchtime=20x -benchmem -count=1 -timeout 120s .
+	$(GO) test -run='^$$' -bench=BenchmarkReplayTPCC -benchmem -count=1 -timeout 120s ./internal/sched/
 
 # bench/ is a nested module (pacman/bench, replace => ..) that imports the
 # root's internal packages. The root's `go vet ./...` and `go test ./...`

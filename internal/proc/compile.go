@@ -111,11 +111,11 @@ type Compiled struct {
 	ops      []OpMeta
 	maxDepth int
 
-	// staticLayout caches the register-file layout of loop-free procedures:
-	// with no loops the layout is invocation-independent, so the hot
-	// execute path reuses one immutable Layout instead of recomputing (and
-	// reallocating) it per transaction. Lazily set by NewLayout.
-	staticLayout atomic.Pointer[Layout]
+	// layouts caches register-file layouts by loop trip counts, the only
+	// input a layout depends on, so the execute and replay paths reuse one
+	// immutable Layout per shape instead of recomputing (and reallocating)
+	// it per invocation. Copy-on-write; filled lazily by NewLayout.
+	layouts atomic.Pointer[map[uint64]*Layout]
 }
 
 // Name returns the procedure name.

@@ -3,6 +3,7 @@ package proc
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -181,17 +182,33 @@ type Layout struct {
 	size   int
 }
 
-// NewLayout computes the register-file layout for one invocation. For
-// loop-free procedures the layout does not depend on the arguments, so one
-// immutable Layout is computed on first use and shared by every later
-// invocation (layouts are never mutated after construction).
+// maxCachedLayouts bounds the shapes one procedure caches; invocations of
+// further shapes compute their layout afresh.
+const maxCachedLayouts = 64
+
+// NewLayout returns the register-file layout for one invocation. A layout
+// depends only on the loop trip counts (the argument list lengths), so one
+// immutable Layout per shape is computed on first use and shared by every
+// later invocation of that shape (layouts are never mutated after
+// construction).
 func (c *Compiled) NewLayout(args Args) (*Layout, error) {
 	if len(args) != len(c.params) {
 		return nil, fmt.Errorf("proc %q: got %d args, want %d", c.name, len(args), len(c.params))
 	}
-	if len(c.loops) == 0 {
-		if l := c.staticLayout.Load(); l != nil {
-			return l, nil
+	// The trip counts, 16 bits each, are the cache key; a shape that does
+	// not fit is not cached.
+	var key uint64
+	cacheable := len(c.loops) <= 4
+	for _, lp := range c.loops {
+		n := len(args[lp.listParam])
+		cacheable = cacheable && n < 1<<16
+		key = key<<16 | uint64(n)&0xFFFF
+	}
+	if cacheable {
+		if m := c.layouts.Load(); m != nil {
+			if l := (*m)[key]; l != nil {
+				return l, nil
+			}
 		}
 	}
 	l := &Layout{
@@ -217,15 +234,32 @@ func (c *Compiled) NewLayout(args Args) (*Layout, error) {
 		off += max(mult, 1)
 	}
 	l.size = off
-	if len(c.loops) == 0 {
-		// Racing first invocations compute identical layouts; either wins.
-		c.staticLayout.CompareAndSwap(nil, l)
+	if cacheable {
+		c.cacheLayout(key, l)
 	}
 	return l, nil
 }
 
-// Size returns the number of register-file slots.
-func (l *Layout) size_() int { return l.size }
+// cacheLayout adds l under key to the copy-on-write layout cache. Racing
+// first invocations of one shape compute identical layouts; either wins.
+func (c *Compiled) cacheLayout(key uint64, l *Layout) {
+	for {
+		old := c.layouts.Load()
+		var m map[uint64]*Layout
+		if old != nil {
+			if len(*old) >= maxCachedLayouts {
+				return
+			}
+			m = maps.Clone(*old)
+		} else {
+			m = make(map[uint64]*Layout, 1)
+		}
+		m[key] = l
+		if c.layouts.CompareAndSwap(old, &m) {
+			return
+		}
+	}
+}
 
 func max(a, b int) int {
 	if a > b {
@@ -249,7 +283,29 @@ type Instance struct {
 	C      *Compiled
 	Args   Args
 	layout *Layout
-	shared []atomic.Pointer[tuple.Value]
+	shared []sharedSlot
+}
+
+// sharedSlot is one slot of the shared register file. The first read to
+// publish into the slot stores its value inline, so a replayed read costs
+// no allocation; a later read of the same register (registers are reused
+// by name) publishes a fresh copy instead, because a concurrent piece may
+// still be reading the inline value.
+type sharedSlot struct {
+	p       atomic.Pointer[tuple.Value]
+	claimed atomic.Bool
+	v       tuple.Value
+}
+
+// publish makes v the slot's value.
+func (s *sharedSlot) publish(v tuple.Value) {
+	if s.claimed.CompareAndSwap(false, true) {
+		s.v = v
+		s.p.Store(&s.v)
+		return
+	}
+	fresh := v // escapes only on this path
+	s.p.Store(&fresh)
 }
 
 // NewInstance prepares a replay instance.
@@ -259,7 +315,7 @@ func (c *Compiled) NewInstance(args Args) (*Instance, error) {
 		return nil, err
 	}
 	return &Instance{C: c, Args: args, layout: l,
-		shared: make([]atomic.Pointer[tuple.Value], l.size)}, nil
+		shared: make([]sharedSlot, l.size)}, nil
 }
 
 // frame is the per-walk evaluation state.
@@ -275,8 +331,8 @@ type frame struct {
 	written []bool
 	poison  []bool // per private slot: value unknown during a dry walk
 
-	shared []atomic.Pointer[tuple.Value] // nil in plain execution mode
-	filter Filter                        // nil = execute everything
+	shared []sharedSlot // nil in plain execution mode
+	filter Filter       // nil = execute everything
 
 	ex  Executor // nil in dry mode
 	dry bool
@@ -336,7 +392,7 @@ func (fr *frame) eval(e cexpr) (tuple.Value, bool) {
 		}
 		// Not assigned in this walk: the value, if any, came from a
 		// predecessor piece through the shared file.
-		if p := fr.shared[s].Load(); p != nil {
+		if p := fr.shared[s].p.Load(); p != nil {
 			return *p, true
 		}
 		return tuple.Null(), true
@@ -547,8 +603,7 @@ func (fr *frame) readStmt(s cRead) bool {
 	}
 	fr.setReg(s.dst, v)
 	if fr.shared != nil {
-		vv := v
-		fr.shared[fr.slot(s.dst)].Store(&vv)
+		fr.shared[fr.slot(s.dst)].publish(v)
 	}
 	return true
 }

@@ -108,6 +108,54 @@ func TestPieceSharedRegisters(t *testing.T) {
 	}
 }
 
+// TestPieceRereadRegister: two pieces read into the same register (registers
+// are reused by name); a third piece sees the later value, as whole
+// execution does, and the first piece's published value stays intact.
+func TestPieceRereadRegister(t *testing.T) {
+	p := &Procedure{
+		Name: "Reread",
+		Body: []Stmt{
+			Read("x", "Current", CI(1), "Value"),
+			Read("x", "Current", CI(2), "Value"),
+			Write("Saving", CI(1), Set("Value", V("x"))),
+		},
+	}
+	run := func(piecewise bool) (int64, *Instance) {
+		db := bankDB(t)
+		c, err := Compile(db, p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seedTransferState(t, db)
+		ex := &directExec{ts: engine.MakeTS(1, 0)}
+		var in *Instance
+		if piecewise {
+			if in, err = c.NewInstance(Args{}); err != nil {
+				t.Fatal(err)
+			}
+			for op := 0; op < 3; op++ {
+				if err := in.ExecutePiece(OpSetFilter{op: true}, ex); err != nil {
+					t.Fatal(err)
+				}
+			}
+		} else if err := c.Execute(Args{}, ex); err != nil {
+			t.Fatal(err)
+		}
+		return currentVal(t, db.Table("Saving"), 1), in
+	}
+	whole, _ := run(false)
+	piecewise, in := run(true)
+	if whole != 500 || piecewise != whole {
+		t.Errorf("Saving[1] = %d piecewise, %d whole, want 500", piecewise, whole)
+	}
+	// The slot's inline value is the first read's; the second published a
+	// copy.
+	s := &in.shared[in.layout.base[0]]
+	if s.v.Int() != 1000 || s.p.Load().Int() != 500 {
+		t.Errorf("slot inline %v, published %v; want 1000 and 500", s.v, *s.p.Load())
+	}
+}
+
 // TestDryWalkOpaqueBeforePredecessor: without T1's read, T2's guard (dst !=
 // 0) is undecidable and the key for the dst accesses is unknown, so the dry
 // walk must report opaque.

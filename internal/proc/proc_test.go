@@ -2,6 +2,7 @@ package proc
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"pacman/internal/engine"
@@ -430,6 +431,63 @@ func TestLayoutMultiplicity(t *testing.T) {
 	if _, err := c.NewLayout(Args{L()}); err == nil {
 		t.Error("wrong arity accepted")
 	}
+}
+
+// TestLayoutCachePerShape: invocations with the same trip counts share one
+// layout, other shapes get their own, and shapes past the cache bound or
+// too long for the key are still laid out correctly.
+func TestLayoutCachePerShape(t *testing.T) {
+	db := bankDB(t)
+	c, err := Compile(db, &Procedure{
+		Name:   "Loop",
+		Params: []ParamDef{P("ids")},
+		Body:   []Stmt{ForEach("id", "ids", Read("v", "Current", V("id"), "Value"))},
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := func(n int) Args {
+		vs := make([]tuple.Value, n)
+		for i := range vs {
+			vs[i] = tuple.I(int64(i))
+		}
+		return Args{vs}
+	}
+	layout := func(n int) *Layout {
+		l, err := c.NewLayout(ids(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Registers id and v, one slot each per iteration (one for none).
+		if want := 2 * max(n, 1); l.size != want {
+			t.Fatalf("%d ids: layout size %d, want %d", n, l.size, want)
+		}
+		return l
+	}
+	if layout(3) != layout(3) {
+		t.Error("same shape, different layouts")
+	}
+	if layout(3) == layout(4) {
+		t.Error("different shapes share a layout")
+	}
+	// Workers executing concurrently fill the cache concurrently.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 2*maxCachedLayouts; n++ {
+				if l, err := c.NewLayout(ids(n)); err != nil || l.size != 2*max(n, 1) {
+					t.Errorf("%d ids: layout %v, %v", n, l, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := len(*c.layouts.Load()); got != maxCachedLayouts {
+		t.Errorf("cache holds %d shapes, want the bound %d", got, maxCachedLayouts)
+	}
+	layout(1 << 16) // trip count past the 16-bit key
 }
 
 func TestOpInstanceAndFilters(t *testing.T) {

@@ -6,16 +6,25 @@ package sched
 
 import (
 	"pacman/internal/engine"
+	"pacman/internal/mvcc"
 	"pacman/internal/proc"
 	"pacman/internal/tuple"
+	"pacman/internal/wal"
 )
 
 // installExec applies operations directly to the storage engine with no
 // latching: the schedule guarantees exclusive key access (Section 4.3.1's
 // latch-free property), so installation is a plain store of a single
-// version.
+// version. Each replay worker owns one, and draws the versions it installs
+// from its own pool; a nil pool allocates each version.
 type installExec struct {
-	ts engine.TS
+	ts   engine.TS
+	pool *mvcc.Pool
+}
+
+// install makes data (or a tombstone) the row's single version.
+func (e *installExec) install(row *engine.Row, data tuple.Tuple, deleted bool) {
+	row.InstallPrepared(e.pool.Prepare(e.ts, data, deleted), false)
 }
 
 // Read returns the currently replayed value of the row.
@@ -38,14 +47,14 @@ func (e *installExec) Write(t *engine.Table, key uint64, up []proc.ColUpdate) er
 			next[u.Col] = u.Val
 		}
 	}
-	row.Install(e.ts, next, false, false)
+	e.install(row, next, false)
 	return nil
 }
 
 // Insert stores a full row image.
 func (e *installExec) Insert(t *engine.Table, key uint64, vals tuple.Tuple) error {
 	row, _ := t.GetOrCreateRow(key)
-	row.Install(e.ts, vals.Clone(), false, false)
+	e.install(row, vals.Clone(), false)
 	return nil
 }
 
@@ -55,6 +64,13 @@ func (e *installExec) Delete(t *engine.Table, key uint64) error {
 	if !ok {
 		return nil
 	}
-	row.Install(e.ts, nil, true, false)
+	e.install(row, nil, true)
 	return nil
+}
+
+// installImage applies one logged after-image of an ad-hoc transaction;
+// Submit has already rejected images of tables the catalog lacks.
+func (e *installExec) installImage(t *engine.Table, w *wal.WriteImage) {
+	row, _ := t.GetOrCreateRow(w.Key)
+	e.install(row, w.After, w.Deleted)
 }

@@ -9,6 +9,7 @@ import (
 	"pacman/internal/analysis"
 	"pacman/internal/engine"
 	"pacman/internal/metrics"
+	"pacman/internal/mvcc"
 	"pacman/internal/proc"
 	"pacman/internal/wal"
 )
@@ -94,11 +95,24 @@ type blockRunner struct {
 	r     *Replayer
 	block int
 	queue chan *batchWork
+	// execs holds one executor per worker of this block, each with its own
+	// version pool (the per-recovery-thread pools of the Cicada idiom). The
+	// block's piece-sets run one after another, so worker i of every
+	// piece-set reuses execs[i].
+	execs []installExec
+}
+
+// executors returns the block's first n per-worker executors.
+func (br *blockRunner) executors(n int) []installExec {
+	for len(br.execs) < n {
+		br.execs = append(br.execs, installExec{pool: mvcc.NewPool()})
+	}
+	return br.execs[:n]
 }
 
 // batchWork carries one batch through the runners.
 type batchWork struct {
-	pieces       [][]*pieceInst // per block
+	pieces       [][]pieceInst // per block
 	doneCh       []chan struct{}
 	complete     chan struct{}
 	remaining    atomic.Int32
@@ -143,7 +157,7 @@ func (r *Replayer) setErr(err error) {
 
 // assignCores fixes per-block worker counts from the piece distribution of
 // the first batch, mirroring the paper's reload-time workload estimation.
-func (r *Replayer) assignCores(pieces [][]*pieceInst) {
+func (r *Replayer) assignCores(pieces [][]pieceInst) {
 	r.assignO.Do(func() {
 		r.workers = make([]int, len(pieces))
 		total := 0
@@ -163,12 +177,28 @@ func (r *Replayer) assignCores(pieces [][]*pieceInst) {
 	})
 }
 
+// maxBatch bounds the entries of one scheduled batch. Consecutive slices of
+// a TS-sorted log batch are themselves TS-sorted batches, so a longer batch
+// is scheduled slice by slice: the block runners start on its head while
+// the rest is still being instantiated, and the pipeline overlaps its
+// blocks instead of waiting for whole predecessor piece-sets.
+const maxBatch = 2048
+
 // Submit schedules one batch (entries must be sorted by TS). It blocks when
 // the pipeline window is full.
 func (r *Replayer) Submit(entries []*wal.Entry) {
+	for len(entries) > maxBatch {
+		r.submit(entries[:maxBatch])
+		entries = entries[maxBatch:]
+	}
+	r.submit(entries)
+}
+
+// submit schedules one batch of at most maxBatch entries.
+func (r *Replayer) submit(entries []*wal.Entry) {
 	start := time.Now()
 	bw := &batchWork{
-		pieces:       make([][]*pieceInst, r.gdg.NumBlocks()),
+		pieces:       make([][]pieceInst, r.gdg.NumBlocks()),
 		doneCh:       make([]chan struct{}, r.gdg.NumBlocks()),
 		complete:     make(chan struct{}),
 		prevComplete: r.prevComplete,
@@ -194,7 +224,7 @@ func (r *Replayer) Submit(entries []*wal.Entry) {
 			}
 			for _, def := range r.gdg.PiecesFor(e.ProcID) {
 				bw.pieces[def.Block] = append(bw.pieces[def.Block],
-					&pieceInst{ts: e.TS, inst: inst, def: def})
+					pieceInst{ts: e.TS, inst: inst, def: def})
 			}
 		case wal.EntryTuple:
 			// Ad-hoc transaction: dispatch each write to the block owning
@@ -213,7 +243,7 @@ func (r *Replayer) Submit(entries []*wal.Entry) {
 				byBlock[b] = append(byBlock[b], w)
 			}
 			for b, ws := range byBlock {
-				bw.pieces[b] = append(bw.pieces[b], &pieceInst{ts: e.TS, adhoc: ws})
+				bw.pieces[b] = append(bw.pieces[b], pieceInst{ts: e.TS, adhoc: ws})
 			}
 		}
 	}
@@ -289,47 +319,43 @@ func (br *blockRunner) loop() {
 	}
 }
 
-// execPieceSet builds and runs the task graph of one piece-set on the
-// block's assigned workers.
-func (br *blockRunner) execPieceSet(pieces []*pieceInst) {
+// execPieceSet runs one piece-set on the block's assigned workers.
+func (br *blockRunner) execPieceSet(pieces []pieceInst) {
 	r := br.r
 	if len(pieces) == 0 {
 		return
 	}
-	dynamic := r.opts.Mode != StaticOnly
-
-	checkStart := time.Now()
-	tasks := r.buildTasks(pieces, dynamic)
-	if r.opts.Breakdown != nil {
-		r.opts.Breakdown.Add(PhaseCheck, time.Since(checkStart))
-	}
-
+	bd := r.opts.Breakdown
 	nw := 1
-	if dynamic && br.block < len(r.workers) {
+	if r.opts.Mode != StaticOnly {
 		nw = r.workers[br.block]
 	}
-	if nw > len(tasks) {
-		nw = len(tasks)
-	}
 	if nw == 1 {
-		// Single worker: creation order is already topological (the chainer
-		// only adds edges to earlier tasks), so run inline without any
-		// queueing machinery.
-		bd := r.opts.Breakdown
-		for _, t := range tasks {
-			var workStart time.Time
-			if bd != nil {
-				workStart = time.Now()
-			}
-			if err := t.run(); err != nil {
+		// One worker: a task graph could only be run in its creation (log)
+		// order, which is what executing each piece whole in log order
+		// already is. Skip the dry walks, key chains and tasks altogether.
+		var workStart time.Time
+		if bd != nil {
+			workStart = time.Now()
+		}
+		ex := &br.executors(1)[0]
+		for i := range pieces {
+			if err := r.execWholePiece(&pieces[i], ex); err != nil {
 				r.setErr(err)
 			}
-			if bd != nil {
-				bd.Add(PhaseWork, time.Since(workStart))
-			}
+		}
+		if bd != nil {
+			bd.Add(PhaseWork, time.Since(workStart))
 		}
 		return
 	}
+
+	checkStart := time.Now()
+	tasks := r.buildTasks(pieces)
+	if bd != nil {
+		bd.Add(PhaseCheck, time.Since(checkStart))
+	}
+	nw = min(nw, len(tasks))
 
 	queue := make(chan *task, len(tasks))
 	var completed atomic.Int32
@@ -339,10 +365,11 @@ func (br *blockRunner) execPieceSet(pieces []*pieceInst) {
 			queue <- t
 		}
 	}
-	bd := r.opts.Breakdown
 	var wg sync.WaitGroup
+	execs := br.executors(nw)
 	for w := 0; w < nw; w++ {
 		wg.Add(1)
+		ex := &execs[w]
 		go func() {
 			defer wg.Done()
 			for {
@@ -365,7 +392,7 @@ func (br *blockRunner) execPieceSet(pieces []*pieceInst) {
 					if bd != nil {
 						workStart = time.Now()
 					}
-					if err := t.run(); err != nil {
+					if err := t.run(ex); err != nil {
 						r.setErr(err)
 					}
 					if bd != nil {

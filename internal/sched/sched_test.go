@@ -3,6 +3,8 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -144,6 +146,78 @@ func TestReplayMatchesSerialGroundTruth(t *testing.T) {
 	}
 	got := replayWithMode(t, entries, 30, Pipelined, 4, 29)
 	diffStates(t, snapshotState(serial.DB()), snapshotState(got.DB()), "pipelined vs serial")
+}
+
+// TestReplayTPCCAllModes: a TPC-C command log, submitted as one batch longer
+// than maxBatch, replays to the serial ground truth in every mode and at
+// every thread count. At 16 threads some blocks get several workers (task
+// graphs) and others one (whole pieces in log order) in the same batches.
+func TestReplayTPCCAllModes(t *testing.T) {
+	cfg, entries := tpccEntries(t, 2500)
+	if len(entries) <= maxBatch {
+		t.Fatalf("%d entries do not exceed one scheduled batch", len(entries))
+	}
+	serial, _ := tpccGDG(cfg)
+	for _, e := range entries {
+		ex := &installExec{ts: e.TS}
+		if err := serial.Registry().ByID(e.ProcID).Execute(e.Args, ex); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := snapshotState(serial.DB())
+	for _, mode := range []Mode{StaticOnly, Synchronous, Pipelined} {
+		for _, threads := range []int{1, 2, 4, 16} {
+			fresh, gdg := tpccGDG(cfg)
+			r := New(gdg, fresh.Registry(), fresh.DB(), Options{Threads: threads, Mode: mode})
+			r.Start()
+			r.Submit(entries)
+			if err := r.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%v/threads=%d", mode, threads)
+			diffStates(t, want, snapshotState(fresh.DB()), label)
+			several := slices.ContainsFunc(r.workers, func(w int) bool { return w > 1 })
+			if threads == 16 && (!slices.Contains(r.workers, 1) || !several) {
+				t.Errorf("%s: workers per block %v, want both one and several", label, r.workers)
+			}
+		}
+	}
+}
+
+// TestOneWorkerReplayAllocatesLikeSerial: piece-sets that replay on one
+// worker execute their pieces whole, with no dry walk, key chains or tasks,
+// so replaying TPC-C on one thread allocates about what serial command-log
+// re-execution does (the task graphs made it several times as much).
+func TestOneWorkerReplayAllocatesLikeSerial(t *testing.T) {
+	cfg, entries := tpccEntries(t, 1000)
+	mallocs := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	serial, _ := tpccGDG(cfg)
+	want := mallocs(func() {
+		for _, e := range entries {
+			if err := serial.Registry().ByID(e.ProcID).Execute(e.Args, &installExec{ts: e.TS}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	fresh, gdg := tpccGDG(cfg)
+	got := mallocs(func() {
+		r := New(gdg, fresh.Registry(), fresh.DB(), Options{Threads: 1, Mode: Pipelined})
+		r.Start()
+		r.Submit(entries)
+		if err := r.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > want*5/4 {
+		t.Errorf("one-thread replay of %d entries: %d mallocs, serial re-execution %d", len(entries), got, want)
+	}
 }
 
 // TestReplayHighContention: all transactions touch the same few accounts,

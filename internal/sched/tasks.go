@@ -10,9 +10,10 @@ import (
 )
 
 // task is one unit of schedulable replay work: a dynamic operation group of
-// one piece, an opaque piece executed whole, or one ad-hoc write.
+// one piece, an opaque piece executed whole, or one ad-hoc write. run
+// executes it through the executor of the worker that picked it up.
 type task struct {
-	run     func() error
+	run     func(ex *installExec) error
 	pending atomic.Int32
 	succs   []*task
 }
@@ -117,38 +118,26 @@ func (c *chainer) addFence(t *task) {
 	c.keys = make(map[conflictKey]*keyState)
 }
 
-// buildTasks turns a piece-set's pieces into a task graph. In dynamic mode
-// each dynamic operation group becomes a task chained by its accessed keys;
-// opaque pieces become fences. In static mode the whole piece-set is one
-// serial task. It returns the tasks in creation (log) order.
-func (r *Replayer) buildTasks(pieces []*pieceInst, dynamic bool) []*task {
-	if !dynamic {
-		// One serial task executing the pieces in commit order.
-		ps := pieces
-		t := &task{}
-		t.run = func() error {
-			for _, p := range ps {
-				if err := r.execWholePiece(p); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		return []*task{t}
-	}
-
+// buildTasks turns a piece-set's pieces into a task graph for several
+// workers: each dynamic operation group becomes a task chained by its
+// accessed keys; opaque pieces become fences. It returns the tasks in
+// creation (log) order.
+func (r *Replayer) buildTasks(pieces []pieceInst) []*task {
 	ch := newChainer()
 	var tasks []*task
-	for _, p := range pieces {
-		p := p
+	for i := range pieces {
+		p := &pieces[i]
 		if p.adhoc != nil {
 			// Ad-hoc tuple entry: one task per write, chained by key.
 			for i := range p.adhoc {
-				w := p.adhoc[i]
+				w := &p.adhoc[i]
 				t := &task{}
 				tbl := r.db.TableByID(w.TableID)
-				ts := p.ts
-				t.run = func() error { return r.installImage(tbl, ts, w) }
+				t.run = func(ex *installExec) error {
+					ex.ts = p.ts
+					ex.installImage(tbl, w)
+					return nil
+				}
 				ch.addTask(t, []proc.Access{{Table: tbl, Key: w.Key, Write: true}})
 				tasks = append(tasks, t)
 			}
@@ -157,7 +146,7 @@ func (r *Replayer) buildTasks(pieces []*pieceInst, dynamic bool) []*task {
 		accesses, opaque := p.inst.DryWalk(p.def.Filter)
 		if opaque {
 			t := &task{}
-			t.run = func() error { return r.execWholePiece(p) }
+			t.run = func(ex *installExec) error { return r.execWholePiece(p, ex) }
 			ch.addFence(t)
 			tasks = append(tasks, t)
 			continue
@@ -165,10 +154,10 @@ func (r *Replayer) buildTasks(pieces []*pieceInst, dynamic bool) []*task {
 		// Partition accesses into dynamic groups.
 		groups := splitDynamicGroups(p.def, accesses)
 		for _, g := range groups {
-			g := g
 			t := &task{}
-			t.run = func() error {
-				return p.inst.ExecutePiece(&g.filter, &installExec{ts: p.ts})
+			t.run = func(ex *installExec) error {
+				ex.ts = p.ts
+				return p.inst.ExecutePiece(&g.filter, ex)
 			}
 			ch.addTask(t, g.accesses)
 			tasks = append(tasks, t)
@@ -274,23 +263,16 @@ func splitDynamicGroups(def *analysis.PieceDef, accesses []proc.Access) []*dynGr
 	return out
 }
 
-// execWholePiece executes a piece serially (static mode and opaque fences).
-func (r *Replayer) execWholePiece(p *pieceInst) error {
+// execWholePiece executes a piece serially (single-worker piece-sets and
+// opaque fences) through ex, which it stamps with the piece's timestamp.
+func (r *Replayer) execWholePiece(p *pieceInst, ex *installExec) error {
+	ex.ts = p.ts
 	if p.adhoc != nil {
-		for _, w := range p.adhoc {
-			if err := r.installImage(r.db.TableByID(w.TableID), p.ts, w); err != nil {
-				return err
-			}
+		for i := range p.adhoc {
+			w := &p.adhoc[i]
+			ex.installImage(r.db.TableByID(w.TableID), w)
 		}
 		return nil
 	}
-	return p.inst.ExecutePiece(p.def.Filter, &installExec{ts: p.ts})
-}
-
-// installImage applies one logged after-image; Submit has already rejected
-// images of tables the catalog lacks.
-func (r *Replayer) installImage(t *engine.Table, ts engine.TS, w wal.WriteImage) error {
-	row, _ := t.GetOrCreateRow(w.Key)
-	row.Install(ts, w.After, w.Deleted, false)
-	return nil
+	return p.inst.ExecutePiece(p.def.Filter, ex)
 }
