@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"pacman/internal/checkpoint"
 	"pacman/internal/engine"
 	"pacman/internal/recovery"
 	"pacman/internal/wal"
@@ -46,7 +47,11 @@ var ErrBlueprintMismatch = wal.ErrManifestMismatch
 
 // ApplyBlueprint declares the blueprint's tables and procedures on a fresh,
 // not-started instance and runs its seed.
-func (d *DB) ApplyBlueprint(bp Blueprint) error {
+func (d *DB) ApplyBlueprint(bp Blueprint) error { return d.applyBlueprint(bp, true) }
+
+// applyBlueprint is ApplyBlueprint; with install false the seed only feeds
+// the seed fingerprint and installs no row.
+func (d *DB) applyBlueprint(bp Blueprint, install bool) error {
 	if d.started {
 		return errors.New("pacman: apply a blueprint to a fresh instance, not a started one")
 	}
@@ -70,7 +75,11 @@ func (d *DB) ApplyBlueprint(bp Blueprint) error {
 				}
 				return
 			}
-			d.Seed(t, key, vals)
+			if install {
+				d.Seed(t, key, vals)
+			} else {
+				d.seedHash.Row(table, key, vals)
+			}
 		})
 		if seedErr != nil {
 			return seedErr
@@ -160,8 +169,16 @@ func Restart(devices []*Device, bp Blueprint, cfg RecoverConfig) (*DB, *Recovery
 		// durable-commit latency) unless the caller overrides it.
 		opts.EpochInterval = time.Duration(man.EpochNanos)
 	}
+	// Recovery restores the newest checkpoint when there is one, and a
+	// checkpoint holds the whole table space. Seeding underneath it would
+	// bring back every seeded row deleted before the checkpoint, so the
+	// seed then only feeds the fingerprint the manifest check compares.
+	ckpt, err := checkpoint.FindLatest(devices)
+	if err != nil {
+		return nil, nil, fmt.Errorf("pacman: restart: %w", err)
+	}
 	d := Open(opts)
-	if err := d.ApplyBlueprint(bp); err != nil {
+	if err := d.applyBlueprint(bp, ckpt == nil); err != nil {
 		return nil, nil, err
 	}
 	if err := man.Diff(d.catalogManifest()); err != nil {

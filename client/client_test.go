@@ -291,10 +291,13 @@ func TestClientKeepAliveDetectsStalledServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
 
-	// Fake server: complete the PAC1 handshake, then stall forever.
+	// Fake server: complete the PAC1 handshake, then stall until the test
+	// ends.
+	stop, exited := make(chan struct{}), make(chan struct{})
+	defer func() { close(stop); ln.Close(); <-exited }()
 	go func() {
+		defer close(exited)
 		nc, err := ln.Accept()
 		if err != nil {
 			return
@@ -312,7 +315,8 @@ func TestClientKeepAliveDetectsStalledServer(t *testing.T) {
 		wire.WriteFrame(nc, wire.Header{Type: wire.FrameHelloAck}, ack)
 		// Stall: never read, never write again. Keep nc open so the TCP
 		// stack gives the client no error of its own.
-		select {}
+		<-stop
+		nc.Close()
 	}()
 
 	const interval = 20 * time.Millisecond

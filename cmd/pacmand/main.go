@@ -45,7 +45,7 @@ func main() {
 	devices := flag.Int("devices", 2, "simulated log devices")
 	epoch := flag.Duration("epoch", 5*time.Millisecond, "group-commit epoch interval (durable latency floor)")
 	workers := flag.Int("workers", 4, "frontend session-pool size")
-	queue := flag.Int("queue", 0, "admission queue capacity (default 4x workers; full queue => backpressure frames)")
+	queue := flag.Int("queue", 0, "admission queue capacity (default 32x workers; full queue => backpressure frames)")
 	window := flag.Int("window", wire.DefaultWindow, "per-connection in-flight window granted in HelloAck")
 	shards := flag.Int("shards", 0, "cluster width: launch this daemon as one member of an N-shard smallbank cluster (0 = standalone)")
 	shardIdx := flag.Int("shard", 0, "this daemon's shard index in [0, shards)")

@@ -21,7 +21,7 @@ type FrontendConfig struct {
 	Workers int
 	// Queue is the submission-queue capacity. A full queue blocks Submit
 	// (backpressure) instead of buffering without bound (default
-	// 4×Workers).
+	// 32×Workers).
 	Queue int
 }
 

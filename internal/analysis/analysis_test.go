@@ -33,8 +33,8 @@ func TestBankLDGMatchesPaper(t *testing.T) {
 		t.Errorf("T2/T3 must have no successors: %v %v", g.Succs[1], g.Succs[2])
 	}
 	for op, wantSlice := range []int{0, 1, 1, 1, 1, 2, 2} {
-		if g.SliceOf(op) != wantSlice {
-			t.Errorf("SliceOf(%d) = %d, want %d", op, g.SliceOf(op), wantSlice)
+		if g.sliceOf[op] != wantSlice {
+			t.Errorf("sliceOf[%d] = %d, want %d", op, g.sliceOf[op], wantSlice)
 		}
 	}
 }
@@ -309,9 +309,9 @@ func assertLDGInvariants(t *testing.T, g *LDG) {
 		for j := i + 1; j < len(ops); j++ {
 			if ops[i].TableID == ops[j].TableID &&
 				(ops[i].Kind.IsModification() || ops[j].Kind.IsModification()) {
-				if g.SliceOf(i) != g.SliceOf(j) {
+				if g.sliceOf[i] != g.sliceOf[j] {
 					t.Errorf("%s: data-dependent ops %d,%d in slices %d,%d",
-						g.Proc.Name(), i, j, g.SliceOf(i), g.SliceOf(j))
+						g.Proc.Name(), i, j, g.sliceOf[i], g.sliceOf[j])
 				}
 			}
 		}

@@ -35,9 +35,6 @@ type LDG struct {
 	sliceOf []int
 }
 
-// SliceOf returns the slice ID containing op.
-func (g *LDG) SliceOf(op int) int { return g.sliceOf[op] }
-
 // BuildLDG decomposes one compiled procedure following Algorithm 1:
 // singleton slices, data-dependent merging, convexity closure, flow edges,
 // and cycle breaking, iterated to a fixpoint.

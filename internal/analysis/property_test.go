@@ -47,7 +47,7 @@ func genProcedure(rng *rand.Rand, name string, nTables int) *proc.Procedure {
 			return proc.Write(tab, proc.Pm("k"), proc.Set("v", randExpr()))
 		case 2:
 			v := newVar()
-			s := proc.Assign(v, proc.Add(randExpr(), randExpr()))
+			s := proc.AssignStmt{Dst: v, Val: proc.Add(randExpr(), randExpr())}
 			vars = append(vars, v)
 			return s
 		default:

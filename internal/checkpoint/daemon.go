@@ -32,9 +32,6 @@ type Daemon struct {
 	stopCh  chan struct{}
 	stopped atomic.Bool
 	wg      sync.WaitGroup
-
-	mu   sync.Mutex
-	last *Manifest
 }
 
 // NewDaemon builds a checkpoint daemon that pins its cuts through views.
@@ -97,19 +94,9 @@ func (d *Daemon) RunOnce() (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.mu.Lock()
-	d.last = m
-	d.mu.Unlock()
 	d.lastDone.Store(id)
 	return m, nil
 }
 
 // Running reports whether a checkpoint is currently being written.
 func (d *Daemon) Running() bool { return d.running.Load() }
-
-// Last returns the most recent completed manifest, or nil.
-func (d *Daemon) Last() *Manifest {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.last
-}

@@ -2,12 +2,23 @@ package chopping
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"pacman/internal/analysis"
 	"pacman/internal/proc"
 	"pacman/internal/workload"
 )
+
+// sliceOf returns the ID of the slice of g that holds op.
+func sliceOf(g *analysis.LDG, op int) int {
+	for _, s := range g.Slices {
+		if slices.Contains(s.Ops, op) {
+			return s.ID
+		}
+	}
+	return -1
+}
 
 // TestBankChopping: the SC-cycle T2 -S- T3 -C- D2 -S- D1 -C- T2 forces
 // Transfer's T2+T3 and Deposit's D1+D2 to merge, while T1 and D3 (no
@@ -50,9 +61,9 @@ func TestChoppingCoarserThanPACMAN(t *testing.T) {
 		pac := analysis.BuildLDG(c)
 		for _, s := range pac.Slices {
 			// All ops of s must be in the same chopping piece.
-			want := chop[pi].SliceOf(s.Ops[0])
+			want := sliceOf(chop[pi], s.Ops[0])
 			for _, op := range s.Ops[1:] {
-				if chop[pi].SliceOf(op) != want {
+				if sliceOf(chop[pi], op) != want {
 					t.Errorf("proc %s: PACMAN slice %v split across chopping pieces",
 						c.Name(), s.Ops)
 				}

@@ -56,14 +56,6 @@ type Version struct {
 	next    atomic.Pointer[Version] // older version, or nil
 }
 
-// Next returns the next-older version, or nil at the end of the chain.
-func (v *Version) Next() *Version { return v.next.Load() }
-
-// SetNext links v to an older version. Chain mutators (install, sorted
-// splice, truncation) must guarantee exclusive access to the chain; readers
-// may observe either link value.
-func (v *Version) SetNext(older *Version) { v.next.Store(older) }
-
 // Row is a logical row: a stable identity carrying a spin latch and the head
 // of its version chain. head == nil means the row has been allocated (e.g.,
 // by an in-flight insert) but holds no visible version yet.
@@ -106,11 +98,6 @@ func (r *Row) SetWriteStamp(token uint64) { r.stamp.Store(token) }
 
 // WriteStamp returns the row's current write-stamp token.
 func (r *Row) WriteStamp() uint64 { return r.stamp.Load() }
-
-// SetHead stores the version chain head directly. Callers must guarantee
-// exclusive access (hold the latch, or be the key's only writer as in
-// partitioned recovery).
-func (r *Row) SetHead(v *Version) { r.head.Store(v) }
 
 // Install pushes a new version with the given timestamp on top of the
 // current chain. Callers must guarantee exclusive access. If retain is
@@ -233,16 +220,6 @@ func (r *Row) ReadAt(ts TS) tuple.Tuple {
 	return nil
 }
 
-// VersionCount returns the length of the version chain (test helper and
-// storage accounting).
-func (r *Row) VersionCount() int {
-	n := 0
-	for v := r.head.Load(); v != nil; v = v.next.Load() {
-		n++
-	}
-	return n
-}
-
 // segBits sizes slab segments at 4096 rows; segments are never reallocated,
 // so row pointers and slots stay stable for the lifetime of the table.
 const (
@@ -285,9 +262,6 @@ func (t *Table) Schema() *tuple.Schema { return t.schema }
 // NumSlots returns the slab high-water mark (allocated slots, including rows
 // with no visible version).
 func (t *Table) NumSlots() uint64 { return t.slots.Load() }
-
-// IndexLen returns the number of keys present in the primary index.
-func (t *Table) IndexLen() int { return t.idx.Len() }
 
 // GetRow returns the row for key, if the key has ever been inserted.
 func (t *Table) GetRow(key uint64) (*Row, bool) {

@@ -68,8 +68,8 @@ func TestVersionChainAndReadAt(t *testing.T) {
 	r.Install(MakeTS(1, 0), tuple.Tuple{tuple.I(1), tuple.I(10)}, false, true)
 	r.Install(MakeTS(2, 0), tuple.Tuple{tuple.I(1), tuple.I(20)}, false, true)
 	r.Install(MakeTS(3, 0), tuple.Tuple{tuple.I(1), tuple.I(30)}, false, true)
-	if r.VersionCount() != 3 {
-		t.Errorf("chain length = %d", r.VersionCount())
+	if len(chainTSs(r)) != 3 {
+		t.Errorf("chain length = %d", len(chainTSs(r)))
 	}
 	cases := []struct {
 		ts   TS
@@ -123,8 +123,8 @@ func TestSingleVersionInstall(t *testing.T) {
 	r, _ := tb.GetOrCreateRow(1)
 	r.Install(MakeTS(1, 0), tuple.Tuple{tuple.I(1), tuple.I(10)}, false, false)
 	r.Install(MakeTS(2, 0), tuple.Tuple{tuple.I(1), tuple.I(20)}, false, false)
-	if r.VersionCount() != 1 {
-		t.Errorf("single-version install kept %d versions", r.VersionCount())
+	if len(chainTSs(r)) != 1 {
+		t.Errorf("single-version install kept %d versions", len(chainTSs(r)))
 	}
 	if r.LatestData()[1].Int() != 20 {
 		t.Error("latest value wrong")
@@ -235,7 +235,7 @@ func TestReindexSlots(t *testing.T) {
 	for i := uint64(0); i < 1000; i++ {
 		tb.PlaceRowAt(i, i*2)
 	}
-	if tb.IndexLen() != 0 {
+	if tb.idx.Len() != 0 {
 		t.Fatal("index should start empty")
 	}
 	// Rebuild in two halves as parallel recovery would.
@@ -248,8 +248,8 @@ func TestReindexSlots(t *testing.T) {
 		}(rng[0], rng[1])
 	}
 	wg.Wait()
-	if tb.IndexLen() != 1000 {
-		t.Fatalf("index len = %d", tb.IndexLen())
+	if tb.idx.Len() != 1000 {
+		t.Fatalf("index len = %d", tb.idx.Len())
 	}
 	for i := uint64(0); i < 1000; i++ {
 		if r, ok := tb.GetRow(i * 2); !ok || r.Slot != i {

@@ -11,7 +11,7 @@ import (
 // chainTSs returns the BeginTS sequence of a row's chain, newest first.
 func chainTSs(r *Row) []TS {
 	var out []TS
-	for v := r.Head(); v != nil; v = v.Next() {
+	for v := r.Head(); v != nil; v = v.next.Load() {
 		out = append(out, v.BeginTS)
 	}
 	return out
@@ -77,12 +77,12 @@ func TestInsertVersionSortedAdversarial(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 				t.Fatalf("chain = %v, want %v", got, tc.want)
 			}
-			if r.VersionCount() != len(tc.want) {
-				t.Fatalf("VersionCount = %d, want %d", r.VersionCount(), len(tc.want))
+			if len(chainTSs(r)) != len(tc.want) {
+				t.Fatalf("VersionCount = %d, want %d", len(chainTSs(r)), len(tc.want))
 			}
 			// Every surviving version must read back at its own timestamp;
 			// tombstones must read as absent.
-			for v := r.Head(); v != nil; v = v.Next() {
+			for v := r.Head(); v != nil; v = v.next.Load() {
 				d := r.ReadAt(v.BeginTS)
 				if v.Deleted {
 					if d != nil {
@@ -113,12 +113,12 @@ func TestSetHeadAndRetainDiscard(t *testing.T) {
 	r := &Row{Key: 1}
 	r.Install(1, tupOf(1), false, true)
 	r.Install(2, tupOf(2), false, true)
-	if n := r.VersionCount(); n != 2 {
+	if n := len(chainTSs(r)); n != 2 {
 		t.Fatalf("retain chain = %d", n)
 	}
 	// Discarding install drops all history.
 	r.Install(3, tupOf(3), false, false)
-	if n := r.VersionCount(); n != 1 {
+	if n := len(chainTSs(r)); n != 1 {
 		t.Fatalf("discard chain = %d", n)
 	}
 	if d := r.ReadAt(2); d != nil {
@@ -127,13 +127,13 @@ func TestSetHeadAndRetainDiscard(t *testing.T) {
 	// SetHead splices an arbitrary chain in.
 	old := &Version{BeginTS: 1, Data: tupOf(10)}
 	head := &Version{BeginTS: 5, Data: tupOf(50)}
-	head.SetNext(old)
-	r.SetHead(head)
+	head.next.Store(old)
+	r.head.Store(head)
 	if got := chainTSs(r); fmt.Sprint(got) != "[5 1]" {
 		t.Fatalf("after SetHead chain = %v", got)
 	}
-	r.SetHead(nil)
-	if r.VersionCount() != 0 || r.ReadAt(9) != nil {
+	r.head.Store(nil)
+	if len(chainTSs(r)) != 0 || r.ReadAt(9) != nil {
 		t.Fatal("SetHead(nil) did not clear the row")
 	}
 }
@@ -144,13 +144,13 @@ func TestInstallPreparedLinks(t *testing.T) {
 	r := &Row{Key: 1}
 	stale := &Version{BeginTS: 99}
 	v1 := &Version{BeginTS: 1, Data: tupOf(1)}
-	v1.SetNext(stale)
+	v1.next.Store(stale)
 	r.InstallPrepared(v1, false)
 	if got := chainTSs(r); fmt.Sprint(got) != "[1]" {
 		t.Fatalf("discard install kept stale link: %v", got)
 	}
 	v2 := &Version{BeginTS: 2, Data: tupOf(2)}
-	v2.SetNext(stale)
+	v2.next.Store(stale)
 	r.InstallPrepared(v2, true)
 	if got := chainTSs(r); fmt.Sprint(got) != "[2 1]" {
 		t.Fatalf("retain install chain = %v", got)
@@ -268,7 +268,7 @@ func TestTruncateConcurrentWithReaders(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if n := r.VersionCount(); n != versions/2+1 {
+	if n := len(chainTSs(r)); n != versions/2+1 {
 		t.Fatalf("final chain = %d", n)
 	}
 }

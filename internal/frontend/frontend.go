@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pacman/internal/health"
 	"pacman/internal/proc"
 	"pacman/internal/txn"
 	"pacman/internal/wal"
@@ -60,7 +59,8 @@ type Config struct {
 	Workers int
 	// Queue is the total submission capacity, split evenly across the
 	// per-worker queues (each gets at least 1 slot); when every queue is
-	// full, Submit blocks (default 4×Workers).
+	// full, Submit blocks (default 32×Workers, from the sweep recorded in
+	// docs/ARCHITECTURE.md's knob table).
 	Queue int
 }
 
@@ -118,15 +118,14 @@ type Frontend struct {
 	closed   atomic.Bool
 
 	workers   []*txn.Worker
-	executed  atomic.Int64
 	steals    atomic.Int64
 	hbEvery   time.Duration
 	closeOnce sync.Once
 
 	// Gray-failure admission control. brownout is flipped by the health
 	// watchdog; the shed counters split rejected work by where it was shed
-	// (admission deadline, dequeue deadline, brownout). dwell and lastMove
-	// feed the watchdog's queue signals, aggregated across every queue:
+	// (admission deadline, dequeue deadline, brownout). lastMove feeds the
+	// watchdog's queue-stall signal, aggregated across every queue:
 	// lastMove is GLOBAL — any enqueue or dequeue on any queue resets it —
 	// so a single idle-but-nonempty queue cannot latch the stall signal
 	// while its peers make progress (stealing guarantees a request can
@@ -135,7 +134,6 @@ type Frontend struct {
 	shedAdmit atomic.Int64
 	shedQueue atomic.Int64
 	shedBrown atomic.Int64
-	dwell     health.EWMA
 	lastMove  atomic.Int64 // unix nanos of the last enqueue or dequeue, any queue
 }
 
@@ -147,7 +145,7 @@ func New(mgr *txn.Manager, ls *wal.LogSet, cfg Config) *Frontend {
 		cfg.Workers = 4
 	}
 	if cfg.Queue <= 0 {
-		cfg.Queue = 4 * cfg.Workers
+		cfg.Queue = 32 * cfg.Workers
 	}
 	// Idle workers heartbeat at half the epoch interval.
 	hbEvery := mgr.Config().EpochInterval / 2
@@ -268,7 +266,6 @@ func (f *Frontend) drain(w *txn.Worker) {
 func (f *Frontend) handle(w *txn.Worker, r request) {
 	now := time.Now()
 	f.lastMove.Store(now.UnixNano())
-	f.dwell.Observe(now.Sub(r.fut.Start()))
 	// Deadline check at execution start: a request whose deadline passed
 	// while it sat in the queue (or whose expiry timer already fired) is
 	// shed here — it never executes, so the caller's typed error is the
@@ -278,7 +275,6 @@ func (f *Frontend) handle(w *txn.Worker, r request) {
 		return
 	}
 	w.ExecuteFuture(r.fut, r.p, r.args, r.mode)
-	f.executed.Add(1)
 }
 
 // admit runs the shared admission checks — deadline at queue entry,
@@ -388,20 +384,14 @@ func (f *Frontend) ShedStats() Shed {
 	}
 }
 
-// QueueDwell returns the smoothed submit-to-dequeue dwell time — the
-// watchdog's overload signal for the submission queues, aggregated across
-// all of them (every dequeue observes into the one EWMA).
-func (f *Frontend) QueueDwell() time.Duration { return f.dwell.Load() }
-
 // QueueStall returns how long the queues have gone without any movement
 // (enqueue or dequeue on ANY queue) while work is pending — zero when all
-// queues are empty. It catches the case the dwell EWMA cannot: every pool
-// worker wedged behind a gray component, so nothing dequeues anywhere and
-// the EWMA goes stale. The signal is deliberately global: one non-empty
-// queue whose owner is busy does NOT trip it while peers make progress,
-// because work stealing guarantees such a request is picked up as soon as
-// any worker goes idle — evidence of a stall on one queue is stale unless
-// the whole pool has stopped moving.
+// queues are empty. It catches every pool worker wedged behind a gray
+// component, so nothing dequeues anywhere. The signal is deliberately
+// global: one non-empty queue whose owner is busy does NOT trip it while
+// peers make progress, because work stealing guarantees such a request is
+// picked up as soon as any worker goes idle — evidence of a stall on one
+// queue is stale unless the whole pool has stopped moving.
 func (f *Frontend) QueueStall(now time.Time) time.Duration {
 	if f.Depth() == 0 {
 		return 0
@@ -433,9 +423,6 @@ func (f *Frontend) Capacity() int {
 func (f *Frontend) Workers() []*txn.Worker {
 	return append([]*txn.Worker(nil), f.workers...)
 }
-
-// Executed returns how many requests pool workers have run so far.
-func (f *Frontend) Executed() int64 { return f.executed.Load() }
 
 // Steals returns how many requests were executed by a worker other than
 // the owner of the queue they were submitted to.

@@ -29,7 +29,7 @@ func TestDeadlineExpiredAtAdmission(t *testing.T) {
 	if s := fe.ShedStats(); s.Admission != 1 || s.Queue != 0 || s.Brownout != 0 {
 		t.Fatalf("shed stats = %+v, want exactly one admission shed", s)
 	}
-	if fe.Executed() != 0 {
+	if fx.deposited() != 0 {
 		t.Fatal("an admission-shed request must never execute")
 	}
 
@@ -64,7 +64,7 @@ func TestDeadlineShedsAtDequeue(t *testing.T) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
 	waitCond(t, "queue shed counted", func() bool { return fe.ShedStats().Queue == 1 })
-	if fe.Executed() != 0 {
+	if fx.deposited() != 0 {
 		t.Fatal("a dequeue-shed request must never execute")
 	}
 
@@ -75,7 +75,7 @@ func TestDeadlineShedsAtDequeue(t *testing.T) {
 	fe.queues[0] <- request{p: fx.deposit, args: fx.depositArgs(1, 1, 1), fut: fut2}
 	fe.nudge()
 	waitCond(t, "resolved future swept", func() bool { return fe.ShedStats().Queue == 2 })
-	if fe.Executed() != 0 {
+	if fx.deposited() != 0 {
 		t.Fatal("a pre-resolved request must never execute")
 	}
 }
@@ -117,8 +117,8 @@ func TestDeadlineAccounting(t *testing.T) {
 	if s.Admission+s.Queue > expired {
 		t.Fatalf("shed buckets %+v exceed %d expired futures", s, expired)
 	}
-	if committed > fe.Executed() {
-		t.Fatalf("committed=%d > executed=%d", committed, fe.Executed())
+	if got := fx.deposited(); committed > got {
+		t.Fatalf("committed=%d > executed=%d", committed, got)
 	}
 	if committed+expired != n {
 		t.Fatalf("committed=%d + expired=%d != %d", committed, expired, n)

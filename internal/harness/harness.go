@@ -16,7 +16,6 @@ import (
 	"pacman/internal/analysis"
 	"pacman/internal/checkpoint"
 	"pacman/internal/chopping"
-	"pacman/internal/engine"
 	"pacman/internal/frontend"
 	"pacman/internal/metrics"
 	"pacman/internal/mvcc"
@@ -420,9 +419,11 @@ func Run(cfg RunConfig, clean bool) (*RunResult, error) {
 	var memAfter runtime.MemStats
 	runtime.ReadMemStats(&memAfter)
 	res.Mallocs = int64(memAfter.Mallocs - memBefore.Mallocs)
-	stats := simdisk.PoolOf(devices...).Stats()
-	res.LogBytes = stats.BytesWritten
-	res.Syncs = stats.Syncs
+	for _, d := range devices {
+		st := d.Stats()
+		res.LogBytes += st.BytesWritten
+		res.Syncs += st.Syncs
+	}
 	res.Committed = committed.Load()
 	res.Aborted = aborted.Load()
 	res.TPS = float64(res.Committed) / res.Elapsed.Seconds()
@@ -485,10 +486,4 @@ func PacmanGDG(w workload.Workload) *analysis.GDG {
 // baseline).
 func ChoppingGDG(w workload.Workload) *analysis.GDG {
 	return analysis.BuildGDG(chopping.Decompose(loggingProcs(w)))
-}
-
-// SnapshotTS returns a consistent snapshot timestamp covering everything
-// committed so far on a quiesced manager.
-func SnapshotTS(mgr *txn.Manager) engine.TS {
-	return engine.MakeTS(mgr.SafeEpoch(), ^uint32(0))
 }

@@ -298,17 +298,3 @@ func CounterAge(fn func() uint64) func(now time.Time) time.Duration {
 		return now.Sub(lastAt)
 	}
 }
-
-// Max adapts several probes into one signal that reports the worst value —
-// e.g. the slowest device's sync latency.
-func Max(fns ...func(now time.Time) time.Duration) func(now time.Time) time.Duration {
-	return func(now time.Time) time.Duration {
-		var worst time.Duration
-		for _, fn := range fns {
-			if v := fn(now); v > worst {
-				worst = v
-			}
-		}
-		return worst
-	}
-}

@@ -126,18 +126,6 @@ func TestCounterAge(t *testing.T) {
 	}
 }
 
-func TestMax(t *testing.T) {
-	a, b := &ctlSignal{}, &ctlSignal{}
-	a.v.Store(int64(3 * time.Millisecond))
-	b.v.Store(int64(9 * time.Millisecond))
-	if v := Max(a.probe, b.probe)(time.Now()); v != 9*time.Millisecond {
-		t.Fatalf("Max = %v, want 9ms", v)
-	}
-	if v := Max()(time.Now()); v != 0 {
-		t.Fatalf("empty Max = %v, want 0", v)
-	}
-}
-
 func TestEWMA(t *testing.T) {
 	var e EWMA
 	if e.Load() != 0 || e.Count() != 0 {

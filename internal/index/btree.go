@@ -123,13 +123,8 @@ func (t *BTree[V]) Get(k uint64) (V, bool) {
 // Insert stores v under k if k is absent and reports whether it inserted.
 // An existing key is left unmodified.
 func (t *BTree[V]) Insert(k uint64, v V) bool {
-	_, inserted := t.insert(k, func() V { return v }, false)
+	_, inserted := t.insert(k, func() V { return v })
 	return inserted
-}
-
-// Upsert stores v under k unconditionally, overwriting any existing value.
-func (t *BTree[V]) Upsert(k uint64, v V) {
-	t.insert(k, func() V { return v }, true)
 }
 
 // GetOrInsert returns the value under k, creating it with mk if absent.
@@ -137,15 +132,13 @@ func (t *BTree[V]) Upsert(k uint64, v V) {
 // at most once, while holding the leaf latch, so creation is atomic with
 // respect to concurrent GetOrInsert calls for the same key.
 func (t *BTree[V]) GetOrInsert(k uint64, mk func() V) (V, bool) {
-	return t.insert(k, mk, false)
+	return t.insert(k, mk)
 }
 
 // insert descends with exclusive latch crabbing, splitting full nodes
-// preemptively. It returns the value now stored under k and whether a new
-// entry was created (always true when overwrite is set and the key was
-// absent; when overwrite is set and the key existed, it returns the new
-// value and false).
-func (t *BTree[V]) insert(k uint64, mk func() V, overwrite bool) (V, bool) {
+// preemptively. It returns the value now stored under k and whether mk
+// created it.
+func (t *BTree[V]) insert(k uint64, mk func() V) (V, bool) {
 	t.rootMu.Lock()
 	cur := t.root
 	cur.mu.Lock()
@@ -190,13 +183,7 @@ func (t *BTree[V]) insert(k uint64, mk func() V, overwrite bool) (V, bool) {
 
 	i := cur.search(k)
 	if i < cur.n && cur.keys[i] == k {
-		var v V
-		if overwrite {
-			cur.vals[i] = mk()
-			v = cur.vals[i]
-		} else {
-			v = cur.vals[i]
-		}
+		v := cur.vals[i]
 		cur.mu.Unlock()
 		return v, false
 	}
@@ -324,33 +311,6 @@ func (t *BTree[V]) Scan(lo, hi uint64, fn func(k uint64, v V) bool) {
 		if nxt == nil {
 			cur.mu.RUnlock()
 			return
-		}
-		nxt.mu.RLock()
-		cur.mu.RUnlock()
-		cur = nxt
-	}
-}
-
-// Min returns the smallest key and its value.
-func (t *BTree[V]) Min() (uint64, V, bool) {
-	var zero V
-	cur := t.lockRootShared()
-	for !cur.leaf {
-		child := cur.children[0]
-		child.mu.RLock()
-		cur.mu.RUnlock()
-		cur = child
-	}
-	for {
-		if cur.n > 0 {
-			k, v := cur.keys[0], cur.vals[0]
-			cur.mu.RUnlock()
-			return k, v, true
-		}
-		nxt := cur.next
-		if nxt == nil {
-			cur.mu.RUnlock()
-			return 0, zero, false
 		}
 		nxt.mu.RLock()
 		cur.mu.RUnlock()

@@ -21,10 +21,6 @@ func TestBTreeBasic(t *testing.T) {
 	if v, ok := bt.Get(1); !ok || v != "a" {
 		t.Errorf("Get(1) = %q, %v", v, ok)
 	}
-	bt.Upsert(1, "c")
-	if v, _ := bt.Get(1); v != "c" {
-		t.Errorf("after Upsert, Get(1) = %q", v)
-	}
 	if bt.Len() != 1 {
 		t.Errorf("len = %d", bt.Len())
 	}
@@ -116,8 +112,9 @@ func TestBTreeOracle(t *testing.T) {
 				t.Fatalf("step %d: Delete(%d) = %v, want %v", i, k, got, want)
 			}
 			delete(oracle, k)
-		case 3: // upsert
-			bt.Upsert(k, i)
+		case 3: // replace
+			bt.Delete(k)
+			bt.Insert(k, i)
 			oracle[k] = i
 		default: // get
 			want, wantOK := oracle[k]
@@ -180,23 +177,6 @@ func TestBTreeScanRange(t *testing.T) {
 		t.Errorf("unexpected key %d in empty range", k)
 		return true
 	})
-}
-
-func TestBTreeMin(t *testing.T) {
-	bt := NewBTree[int]()
-	if _, _, ok := bt.Min(); ok {
-		t.Error("Min on empty tree")
-	}
-	bt.Insert(50, 1)
-	bt.Insert(10, 2)
-	bt.Insert(90, 3)
-	if k, v, ok := bt.Min(); !ok || k != 10 || v != 2 {
-		t.Errorf("Min = %d,%d,%v", k, v, ok)
-	}
-	bt.Delete(10)
-	if k, _, ok := bt.Min(); !ok || k != 50 {
-		t.Errorf("Min after delete = %d,%v", k, ok)
-	}
 }
 
 func TestBTreeDeleteHeavy(t *testing.T) {

@@ -1,13 +1,11 @@
 // Package metrics provides the lightweight measurement primitives the
-// harness uses: latency histograms, throughput time series, and per-phase
-// breakdown accumulators. All types are safe for concurrent use.
+// harness uses: latency histograms, counters, and per-phase breakdown
+// accumulators. All types are safe for concurrent use.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -155,14 +153,6 @@ func (s *DurationSum) AddSince(t0 time.Time) { s.ns.Add(int64(time.Since(t0))) }
 // Load returns the accumulated total.
 func (s *DurationSum) Load() time.Duration { return time.Duration(s.ns.Load()) }
 
-// Pct returns part as a percentage of whole (0 when whole is 0).
-func Pct(part, whole time.Duration) float64 {
-	if whole <= 0 {
-		return 0
-	}
-	return float64(part) / float64(whole) * 100
-}
-
 // Counter is a monotonically increasing atomic counter.
 type Counter struct{ v atomic.Int64 }
 
@@ -174,33 +164,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
-
-// TimeSeries samples a counter at fixed intervals to produce the
-// throughput-over-time traces in Figures 11 and 12.
-type TimeSeries struct {
-	mu      sync.Mutex
-	samples []Sample
-}
-
-// Sample is one point of a time series.
-type Sample struct {
-	At    time.Duration // offset from the start of the run
-	Value float64
-}
-
-// Append records one sample.
-func (ts *TimeSeries) Append(at time.Duration, v float64) {
-	ts.mu.Lock()
-	ts.samples = append(ts.samples, Sample{At: at, Value: v})
-	ts.mu.Unlock()
-}
-
-// Samples returns a copy of the recorded samples in append order.
-func (ts *TimeSeries) Samples() []Sample {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return append([]Sample(nil), ts.samples...)
-}
 
 // Breakdown accumulates wall time attributed to named phases; it backs the
 // Figure 20 recovery-time breakdown. Phases are registered up front so
@@ -228,13 +191,6 @@ func NewBreakdown(names ...string) *Breakdown {
 // phase sets are static.
 func (b *Breakdown) Add(name string, d time.Duration) {
 	b.ns[b.index[name]].Add(int64(d))
-}
-
-// Timed runs f and attributes its wall time to the named phase.
-func (b *Breakdown) Timed(name string, f func()) {
-	start := time.Now()
-	f()
-	b.Add(name, time.Since(start))
 }
 
 // Total returns the sum over all phases.
@@ -272,15 +228,4 @@ type PhaseShare struct {
 	Name  string
 	Time  time.Duration
 	Share float64
-}
-
-// SortedKeys returns map keys in sorted order; a small convenience for
-// deterministic report printing.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -114,15 +114,6 @@ func TestDurationSum(t *testing.T) {
 	}
 }
 
-func TestPct(t *testing.T) {
-	if got := Pct(250*time.Millisecond, time.Second); got != 25 {
-		t.Fatalf("Pct = %v, want 25", got)
-	}
-	if got := Pct(time.Second, 0); got != 0 {
-		t.Fatalf("Pct with zero whole = %v, want 0", got)
-	}
-}
-
 func TestCounter(t *testing.T) {
 	var c Counter
 	c.Inc()
@@ -132,26 +123,11 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestTimeSeries(t *testing.T) {
-	var ts TimeSeries
-	ts.Append(time.Second, 100)
-	ts.Append(2*time.Second, 200)
-	s := ts.Samples()
-	if len(s) != 2 || s[0].Value != 100 || s[1].At != 2*time.Second {
-		t.Errorf("samples = %+v", s)
-	}
-	// Returned slice is a copy.
-	s[0].Value = -1
-	if ts.Samples()[0].Value != 100 {
-		t.Error("Samples() must return a copy")
-	}
-}
-
 func TestBreakdown(t *testing.T) {
 	b := NewBreakdown("work", "load", "sched")
 	b.Add("work", 3*time.Second)
 	b.Add("load", time.Second)
-	b.Timed("sched", func() { time.Sleep(time.Millisecond) })
+	b.Add("sched", time.Millisecond)
 	if b.Get("work") != 3*time.Second {
 		t.Errorf("work = %v", b.Get("work"))
 	}
@@ -179,13 +155,5 @@ func TestBreakdownEmpty(t *testing.T) {
 	}
 	if s := b.Shares(); s[0].Share != 0 {
 		t.Error("empty breakdown share != 0")
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	k := SortedKeys(m)
-	if len(k) != 3 || k[0] != "a" || k[2] != "c" {
-		t.Errorf("keys = %v", k)
 	}
 }

@@ -11,18 +11,6 @@ import (
 // 2-byte param count, then per parameter a 2-byte value count followed by
 // the values in the tuple codec.
 
-// EncodedArgsSize returns the number of bytes AppendArgs writes.
-func EncodedArgsSize(args Args) int {
-	n := 2
-	for _, lst := range args {
-		n += 2
-		for _, v := range lst {
-			n += v.EncodedSize()
-		}
-	}
-	return n
-}
-
 // AppendArgs appends the encoding of args to buf.
 func AppendArgs(buf []byte, args Args) []byte {
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(args)))

@@ -139,14 +139,6 @@ func (c *Compiled) Ops() []OpMeta { return c.ops }
 // NumParams returns the parameter count.
 func (c *Compiled) NumParams() int { return len(c.params) }
 
-// ParamIndex returns the index of the named parameter, or -1.
-func (c *Compiled) ParamIndex(name string) int {
-	if i, ok := c.paramIdx[name]; ok {
-		return i
-	}
-	return -1
-}
-
 // Compiled statement forms. Tables are resolved to *engine.Table, columns to
 // indexes, variables to register IDs, parameters to positions.
 

@@ -77,29 +77,6 @@ func (f OpSetFilter) IncludeAnyOp(ops []int) bool {
 	return false
 }
 
-// InstFilter includes exact (op, iteration) instances, keyed by OpInstance.
-type InstFilter map[uint64]struct{}
-
-// Include reports whether the exact instance is in the set.
-func (f InstFilter) Include(op int, iter uint64) bool {
-	_, ok := f[OpInstance(op, iter)]
-	return ok
-}
-
-// IncludeAnyOp reports whether any instance of any listed op is included.
-// Both sets are small (a dynamic group and one subtree).
-func (f InstFilter) IncludeAnyOp(ops []int) bool {
-	for inst := range f {
-		op := int(inst >> 48)
-		for _, o := range ops {
-			if o == op {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // InstSliceFilter is an allocation-light instance filter: an unsorted slice
 // of OpInstance values plus a bitmask of the static ops present. Dynamic
 // groups are tiny (a handful of instances), so linear scans beat hashing.

@@ -237,9 +237,6 @@ func Delete(table string, key Expr) Stmt {
 	return DeleteStmt{Table: table, Key: key}
 }
 
-// Assign builds an AssignStmt.
-func Assign(dst string, val Expr) Stmt { return AssignStmt{Dst: dst, Val: val} }
-
 // If builds a guard with no else branch.
 func If(cond Expr, then ...Stmt) Stmt { return IfStmt{Cond: cond, Then: then} }
 

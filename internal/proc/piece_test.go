@@ -248,7 +248,7 @@ func TestDryWalkLoopInstances(t *testing.T) {
 }
 
 // TestInstFilterPieceExecution: executing individual loop iterations via
-// InstFilter touches only those iterations.
+// an instance filter touches only those iterations.
 func TestInstFilterPieceExecution(t *testing.T) {
 	db := bankDB(t)
 	p := &Procedure{
@@ -272,11 +272,10 @@ func TestInstFilterPieceExecution(t *testing.T) {
 	in, _ := c.NewInstance(Args{L(tuple.I(10), tuple.I(20), tuple.I(30))})
 	ex := &directExec{ts: engine.MakeTS(1, 0)}
 	// Execute only iteration 1 (account 20).
-	f := InstFilter{
-		OpInstance(0, 1): {},
-		OpInstance(1, 1): {},
-	}
-	if err := in.ExecutePiece(f, ex); err != nil {
+	var f InstSliceFilter
+	f.AddInst(0, 1)
+	f.AddInst(1, 1)
+	if err := in.ExecutePiece(&f, ex); err != nil {
 		t.Fatal(err)
 	}
 	if got := currentVal(t, current, 20); got != 101 {
@@ -286,11 +285,12 @@ func TestInstFilterPieceExecution(t *testing.T) {
 		t.Errorf("acct 10 touched: %d", got)
 	}
 	// Execute the remaining iterations.
-	f2 := InstFilter{
-		OpInstance(0, 0): {}, OpInstance(1, 0): {},
-		OpInstance(0, 2): {}, OpInstance(1, 2): {},
+	var f2 InstSliceFilter
+	for _, iter := range []uint64{0, 2} {
+		f2.AddInst(0, iter)
+		f2.AddInst(1, iter)
 	}
-	if err := in.ExecutePiece(f2, ex); err != nil {
+	if err := in.ExecutePiece(&f2, ex); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []uint64{10, 20, 30} {

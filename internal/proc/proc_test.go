@@ -194,11 +194,11 @@ func TestForEachLoop(t *testing.T) {
 		Name:   "BatchDeposit",
 		Params: []ParamDef{P("accts"), P("amounts")},
 		Body: []Stmt{
-			Assign("total", CI(0)),
+			AssignStmt{Dst: "total", Val: CI(0)},
 			ForEachIdx("i", "acct", "accts",
 				Read("bal", "Current", V("acct"), "Value"),
 				Write("Current", V("acct"), Set("Value", Add(V("bal"), CI(10)))),
-				Assign("total", Add(V("total"), V("bal"))),
+				AssignStmt{Dst: "total", Val: Add(V("total"), V("bal"))},
 			),
 			Write("Stats", CI(1), Set("Count", V("total"))),
 		},
@@ -349,9 +349,6 @@ func TestArgsCodec(t *testing.T) {
 	}
 	for i, args := range cases {
 		buf := AppendArgs(nil, args)
-		if len(buf) != EncodedArgsSize(args) {
-			t.Errorf("case %d: size mismatch", i)
-		}
 		got, n, err := DecodeArgs(buf)
 		if err != nil || n != len(buf) {
 			t.Fatalf("case %d: decode err=%v n=%d", i, err, n)
@@ -498,9 +495,10 @@ func TestOpInstanceAndFilters(t *testing.T) {
 	if !f.Include(2, 99) || f.Include(1, 0) {
 		t.Error("OpSetFilter broken")
 	}
-	inst := InstFilter{OpInstance(2, 5): {}}
-	if !inst.Include(2, 5) || inst.Include(2, 6) {
-		t.Error("InstFilter broken")
+	var inst InstSliceFilter
+	inst.AddInst(2, 5)
+	if !inst.Include(2, 5) || inst.Include(2, 6) || !inst.IncludeAnyOp([]int{1, 2}) || inst.IncludeAnyOp([]int{1}) {
+		t.Error("InstSliceFilter broken")
 	}
 }
 

@@ -23,7 +23,7 @@ func TestDebugSmallbankBisect(t *testing.T) {
 	live.Populate(workload.DirectPopulate{})
 	m := txn.NewManager(live.DB(), txn.DefaultConfig())
 	devs := []*simdisk.Device{simdisk.New("d", simdisk.Unlimited())}
-	wcfg := wal.DefaultConfig(wal.Command)
+	wcfg := wal.Config{Kind: wal.Command, BatchEpochs: 100, FlushInterval: time.Millisecond, Sync: true}
 	wcfg.FlushInterval = 100 * time.Microsecond
 	ls := wal.NewLogSet(m, wcfg, devs)
 	w := m.NewWorker()

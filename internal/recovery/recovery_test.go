@@ -48,7 +48,7 @@ func runFixture(t testing.TB, kind wal.Kind, n int, adhocPct int, cleanShutdown,
 		simdisk.New("ssd0", simdisk.Unlimited()),
 		simdisk.New("ssd1", simdisk.Unlimited()),
 	}
-	cfg := wal.DefaultConfig(kind)
+	cfg := wal.Config{Kind: kind, BatchEpochs: 100, FlushInterval: time.Millisecond, Sync: true}
 	cfg.BatchEpochs = 3
 	cfg.FlushInterval = 100 * time.Microsecond
 	cfg.OnRelease = func(cs []*txn.Committed) {
@@ -296,7 +296,7 @@ func TestLLRMultiVersionState(t *testing.T) {
 	maxVersions := 0
 	cur := got.DB().Table("Current")
 	cur.ScanSlots(0, cur.NumSlots(), func(r *engine.Row) {
-		if n := r.VersionCount(); n > maxVersions {
+		if n, _ := r.TruncateVersions(0); n > maxVersions {
 			maxVersions = n
 		}
 	})
@@ -390,7 +390,7 @@ func logExtraTable(t *testing.T, kind wal.Kind, adhoc bool) []*simdisk.Device {
 	}
 	mgr := txn.NewManager(b.DB(), txn.DefaultConfig())
 	devices := []*simdisk.Device{simdisk.New("ssd0", simdisk.Unlimited())}
-	ls := wal.NewLogSet(mgr, wal.DefaultConfig(kind), devices)
+	ls := wal.NewLogSet(mgr, wal.Config{Kind: kind, BatchEpochs: 100, FlushInterval: time.Millisecond, Sync: true}, devices)
 	w := mgr.NewWorker()
 	ls.AttachWorker(w)
 	ls.Start()

@@ -27,7 +27,7 @@ func runBankWorkload(t testing.TB, accounts, n int, seed int64) (*workload.Bank,
 	b.Populate(workload.DirectPopulate{})
 	m := txn.NewManager(b.DB(), txn.DefaultConfig())
 	dev := simdisk.New("d", simdisk.Unlimited())
-	cfg := wal.DefaultConfig(wal.Command)
+	cfg := wal.Config{Kind: wal.Command, BatchEpochs: 100, FlushInterval: time.Millisecond, Sync: true}
 	cfg.BatchEpochs = 2
 	cfg.FlushInterval = 100 * time.Microsecond
 	ls := wal.NewLogSet(m, cfg, []*simdisk.Device{dev})
@@ -236,7 +236,7 @@ func TestReplayWithAdHoc(t *testing.T) {
 	b.Populate(workload.DirectPopulate{})
 	m := txn.NewManager(b.DB(), txn.DefaultConfig())
 	dev := simdisk.New("d", simdisk.Unlimited())
-	cfg := wal.DefaultConfig(wal.Command)
+	cfg := wal.Config{Kind: wal.Command, BatchEpochs: 100, FlushInterval: time.Millisecond, Sync: true}
 	cfg.BatchEpochs = 2
 	cfg.FlushInterval = 100 * time.Microsecond
 	ls := wal.NewLogSet(m, cfg, []*simdisk.Device{dev})

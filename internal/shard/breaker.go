@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"pacman/internal/txn"
 	"pacman/internal/wire"
@@ -54,8 +53,6 @@ type breaker struct {
 	state    int32
 	fails    int
 	trialing bool // half-open: one trial request in flight
-	opens    int64
-	openedAt time.Time
 }
 
 func newBreaker(threshold int) *breaker {
@@ -103,10 +100,6 @@ func (b *breaker) observe(failure bool) (from, to string) {
 	if b.state == prev {
 		return "", ""
 	}
-	if b.state == breakerOpen {
-		b.opens++
-		b.openedAt = time.Now()
-	}
 	return breakerStateName(prev), breakerStateName(b.state)
 }
 
@@ -131,24 +124,10 @@ func (b *breaker) halfOpen() bool {
 	return true
 }
 
-func (b *breaker) snapshot() BreakerStatus {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return BreakerStatus{State: breakerStateName(b.state), Opens: b.opens, Failures: b.fails}
-}
-
 func (b *breaker) current() int32 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// BreakerStatus is one shard's breaker state for diagnostics and tests.
-type BreakerStatus struct {
-	Shard    int    `json:"shard"`
-	State    string `json:"state"`
-	Opens    int64  `json:"opens"`
-	Failures int    `json:"failures"`
 }
 
 // breakerFailure classifies a backside request outcome for the breaker:

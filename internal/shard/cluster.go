@@ -127,9 +127,6 @@ func (c *Cluster) Config() Config { return c.cfg }
 // Partitioner returns the cluster's partitioner.
 func (c *Cluster) Partitioner() Partitioner { return c.part }
 
-// Routing returns the static routing extraction over the public procedures.
-func (c *Cluster) Routing() *Routing { return c.routing }
-
 // Public returns the procedure names clients may submit, in the base
 // workload's registration order (the router frontside's proc table).
 func (c *Cluster) Public() []string { return append([]string(nil), c.public...) }

@@ -75,6 +75,7 @@ func scanCoordLog(data []byte) ([]inDoubt, uint64) {
 	var order []uint64
 	states := map[uint64]*state{}
 	var maxGTID uint64
+scan:
 	for off := 0; off+8 <= len(data); {
 		n := int(binary.LittleEndian.Uint32(data[off:]))
 		crc := binary.LittleEndian.Uint32(data[off+4:])
@@ -96,7 +97,7 @@ func scanCoordLog(data []byte) ([]inDoubt, uint64) {
 		case recBegin:
 			g, err := decodeBegin(gtid, payload[9:])
 			if err != nil {
-				break // undecodable synced begin: treat as torn
+				break scan // undecodable synced begin: treat as torn
 			}
 			if _, dup := states[gtid]; !dup {
 				order = append(order, gtid)

@@ -40,29 +40,6 @@ func (p SmallbankPartitioner) ShardOf(table string, attr int64) (int, bool) {
 	return 0, false // PACMAN_2PC and unknowns: no routing constraint
 }
 
-// TPCCPartitioner partitions TPC-C by warehouse, round-robin so small
-// warehouse counts still spread over every shard. ITEM is replicated.
-type TPCCPartitioner struct {
-	NumShards int
-}
-
-// Shards implements Partitioner.
-func (p TPCCPartitioner) Shards() int { return p.NumShards }
-
-// ShardOf implements Partitioner: the attribute is the warehouse id
-// (1-based, as TPC-C numbers them).
-func (p TPCCPartitioner) ShardOf(table string, attr int64) (int, bool) {
-	switch table {
-	case "WAREHOUSE", "DISTRICT", "CUSTOMER", "OORDER", "NEW_ORDER",
-		"ORDER_LINE", "STOCK", "HISTORY":
-		if attr < 1 {
-			return 0, true
-		}
-		return int((attr - 1) % int64(p.NumShards)), true
-	}
-	return 0, false // ITEM: replicated
-}
-
 // attrRef is one table access in a procedure body: the table and the
 // partition-attribute expression extracted from its key (nil when the
 // attribute is not derivable from parameters alone).

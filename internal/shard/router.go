@@ -196,16 +196,6 @@ func (r *Router) Quiesce(timeout time.Duration) bool {
 	return true
 }
 
-// Breakers returns every shard's breaker status, in shard order.
-func (r *Router) Breakers() []BreakerStatus {
-	out := make([]BreakerStatus, len(r.breakers))
-	for i, b := range r.breakers {
-		out[i] = b.snapshot()
-		out[i].Shard = i
-	}
-	return out
-}
-
 // Brownout implements wire.Backend: the router is in brownout — shedding
 // everything at the wire with Backpressure — only when every shard's
 // breaker is open (a total backside outage). With a partial outage,

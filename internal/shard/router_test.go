@@ -333,6 +333,7 @@ func TestMixedStreamRecovery(t *testing.T) {
 	}
 
 	db.Crash()
+	fe.Close()
 	db2, res, err := pacman.Restart(db.Devices(), bp, pacman.RecoverConfig{Serve: opts})
 	if err != nil {
 		t.Fatal(err)
@@ -358,6 +359,7 @@ func TestMixedStreamRecovery(t *testing.T) {
 	want1 += -30 + 5
 
 	db2.Crash()
+	fe2.Close()
 	db3, _, err := pacman.Restart(db2.Devices(), bp, pacman.RecoverConfig{Serve: opts})
 	if err != nil {
 		t.Fatal(err)
@@ -485,9 +487,9 @@ func TestRouterHungShardBreaker(t *testing.T) {
 
 	// Keep the timeouts coming until the breaker opens.
 	deadline := time.Now().Add(10 * time.Second)
-	for r.Breakers()[1].State != "open" {
+	for r.breakers[1].current() != breakerOpen {
 		if time.Now().After(deadline) {
-			t.Fatalf("breaker never opened: %+v", r.Breakers())
+			t.Fatalf("breaker never opened: state %s", breakerStateName(r.breakers[1].current()))
 		}
 		r.Submit("Balance", pacman.Args{pacman.A(pacman.I(30))}).Wait()
 	}
@@ -520,7 +522,7 @@ func TestRouterHungShardBreaker(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("cross-shard service never recovered: breakers %+v", r.Breakers())
+			t.Fatalf("cross-shard service never recovered: shard 1 breaker %s", breakerStateName(r.breakers[1].current()))
 		}
 		time.Sleep(25 * time.Millisecond)
 	}

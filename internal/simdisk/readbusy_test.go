@@ -32,10 +32,6 @@ func TestReadBusyAccounting(t *testing.T) {
 	if st.Busy != st.ReadBusy+st.WriteBusy() {
 		t.Fatalf("busy split inconsistent: %v != %v + %v", st.Busy, st.ReadBusy, st.WriteBusy())
 	}
-	d.ResetStats()
-	if st := d.Stats(); st.ReadBusy != 0 || st.Busy != 0 {
-		t.Fatalf("ResetStats left %+v", st)
-	}
 }
 
 // TestConcurrentReadersShareBandwidth: two concurrent readers on one device

@@ -125,15 +125,6 @@ func (d *Device) Stats() Stats {
 	}
 }
 
-// ResetStats zeroes the traffic counters (not the files).
-func (d *Device) ResetStats() {
-	d.bytesWritten.Store(0)
-	d.bytesRead.Store(0)
-	d.syncs.Store(0)
-	d.busy.Store(0)
-	d.readBusy.Store(0)
-}
-
 // occupy reserves dur of device time and sleeps until the reservation
 // completes, modeling a single-queue device.
 func (d *Device) occupy(dur time.Duration) {
@@ -452,66 +443,4 @@ func (r *Reader) ReadAll() ([]byte, error) {
 	r.dev.bytesRead.Add(int64(len(out)))
 	r.dev.occupyRead(transferTime(int64(len(out)), r.dev.cfg.ReadBandwidth))
 	return out, nil
-}
-
-// Pool is a set of devices used round-robin by logger and checkpoint
-// threads; it models the paper's "one thread per SSD" assignment.
-type Pool struct {
-	devs []*Device
-	next atomic.Int64
-}
-
-// NewPool builds a pool of n identically configured devices.
-func NewPool(n int, cfg Config) *Pool {
-	p := &Pool{}
-	for i := 0; i < n; i++ {
-		p.devs = append(p.devs, New(fmt.Sprintf("ssd%d", i), cfg))
-	}
-	return p
-}
-
-// PoolOf wraps existing devices.
-func PoolOf(devs ...*Device) *Pool { return &Pool{devs: devs} }
-
-// Get returns device i modulo the pool size.
-func (p *Pool) Get(i int) *Device { return p.devs[i%len(p.devs)] }
-
-// Next returns devices round-robin.
-func (p *Pool) Next() *Device {
-	i := p.next.Add(1) - 1
-	return p.devs[int(i)%len(p.devs)]
-}
-
-// Len returns the number of devices.
-func (p *Pool) Len() int { return len(p.devs) }
-
-// All returns the underlying devices.
-func (p *Pool) All() []*Device { return p.devs }
-
-// Crash crashes every device in the pool.
-func (p *Pool) Crash() {
-	for _, d := range p.devs {
-		d.Crash()
-	}
-}
-
-// Stats sums the stats of all devices.
-func (p *Pool) Stats() Stats {
-	var s Stats
-	for _, d := range p.devs {
-		ds := d.Stats()
-		s.BytesWritten += ds.BytesWritten
-		s.BytesRead += ds.BytesRead
-		s.Syncs += ds.Syncs
-		s.Busy += ds.Busy
-		s.ReadBusy += ds.ReadBusy
-	}
-	return s
-}
-
-// ResetStats resets every device's counters.
-func (p *Pool) ResetStats() {
-	for _, d := range p.devs {
-		d.ResetStats()
-	}
 }

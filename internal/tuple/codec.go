@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Binary encoding
@@ -95,8 +94,3 @@ func DecodeTuple(b []byte) (Tuple, int, error) {
 	}
 	return t, off, nil
 }
-
-// Float helpers used by workloads that store money amounts as float columns.
-
-// FloatBits converts a float to its order-preserving payload bits.
-func FloatBits(f float64) uint64 { return math.Float64bits(f) }

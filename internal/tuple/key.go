@@ -47,21 +47,3 @@ func (p *KeyPacker) Pack(fields ...uint64) uint64 {
 	}
 	return k
 }
-
-// Unpack splits a key back into its fields.
-func (p *KeyPacker) Unpack(k uint64) []uint64 {
-	out := make([]uint64, len(p.widths))
-	shift := p.total
-	for i, w := range p.widths {
-		shift -= w
-		out[i] = (k >> shift) & mask(w)
-	}
-	return out
-}
-
-func mask(w uint) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return (1 << w) - 1
-}

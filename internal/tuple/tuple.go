@@ -1,7 +1,6 @@
 package tuple
 
 import (
-	"errors"
 	"fmt"
 )
 
@@ -30,15 +29,6 @@ func (t Tuple) Equal(o Tuple) bool {
 		}
 	}
 	return true
-}
-
-// EncodedSize returns the number of bytes AppendTuple writes for t.
-func (t Tuple) EncodedSize() int {
-	n := 2
-	for _, v := range t {
-		n += v.EncodedSize()
-	}
-	return n
 }
 
 func (t Tuple) String() string {
@@ -112,26 +102,4 @@ func (s *Schema) ColIndex(name string) int {
 		return i
 	}
 	return -1
-}
-
-// ErrSchemaMismatch is returned by Validate for tuples that do not conform.
-var ErrSchemaMismatch = errors.New("tuple: schema mismatch")
-
-// Validate checks that t conforms to the schema: correct arity and, for
-// non-NULL values, matching kinds.
-func (s *Schema) Validate(t Tuple) error {
-	if len(t) != len(s.columns) {
-		return fmt.Errorf("%w: table %q wants %d columns, tuple has %d",
-			ErrSchemaMismatch, s.table, len(s.columns), len(t))
-	}
-	for i, v := range t {
-		if v.IsNull() {
-			continue
-		}
-		if v.Kind() != s.columns[i].Kind {
-			return fmt.Errorf("%w: table %q column %q wants %v, got %v",
-				ErrSchemaMismatch, s.table, s.columns[i].Name, s.columns[i].Kind, v.Kind())
-		}
-	}
-	return nil
 }

@@ -71,9 +71,6 @@ func Bool(b bool) Value {
 // Kind reports the dynamic type of the value.
 func (v Value) Kind() Kind { return v.kind }
 
-// IsNull reports whether the value is NULL.
-func (v Value) IsNull() bool { return v.kind == KindNull }
-
 // Int returns the integer payload. It is valid only for KindInt values;
 // other kinds return 0.
 func (v Value) Int() int64 {
@@ -185,17 +182,5 @@ func (v Value) String() string {
 		return strconv.Quote(v.str)
 	default:
 		return fmt.Sprintf("value(kind=%d)", v.kind)
-	}
-}
-
-// EncodedSize returns the number of bytes Append will write for v.
-func (v Value) EncodedSize() int {
-	switch v.kind {
-	case KindNull:
-		return 1
-	case KindInt, KindFloat:
-		return 1 + 8
-	default:
-		return 1 + 4 + len(v.str)
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -111,14 +112,6 @@ type Manager struct {
 	stopped  atomic.Bool
 	stopCh   chan struct{}
 	tickerWG sync.WaitGroup
-
-	// onAdvance, when registered, is invoked after movements that can raise
-	// SafeEpoch — epoch-clock ticks, Rebase, worker heartbeats and retires —
-	// but never from the per-transaction hot path. An inactive wal.LogSet
-	// uses it to wake WaitForEpoch parkers (whose progress shadows the safe
-	// epoch, not the pepoch thread) without busy-polling. The callback must
-	// be cheap and must not block.
-	onAdvance atomic.Pointer[func()]
 }
 
 // NewManager creates a manager over the catalog. The epoch clock starts at
@@ -143,20 +136,7 @@ func (m *Manager) Epoch() uint32 { return m.epoch.Load() }
 
 // AdvanceEpoch bumps the epoch clock by one (tests and manual control).
 func (m *Manager) AdvanceEpoch() uint32 {
-	e := m.epoch.Add(1)
-	m.notifyAdvance()
-	return e
-}
-
-// SetOnAdvance registers the epoch-movement callback (see the onAdvance
-// field). One callback per manager; a later registration replaces the
-// earlier one.
-func (m *Manager) SetOnAdvance(fn func()) { m.onAdvance.Store(&fn) }
-
-func (m *Manager) notifyAdvance() {
-	if fn := m.onAdvance.Load(); fn != nil {
-		(*fn)()
-	}
+	return m.epoch.Add(1)
 }
 
 // Rebase moves the epoch clock forward to at least epoch; it never moves it
@@ -171,7 +151,6 @@ func (m *Manager) Rebase(epoch uint32) {
 			return
 		}
 		if m.epoch.CompareAndSwap(cur, epoch) {
-			m.notifyAdvance()
 			return
 		}
 	}
@@ -188,7 +167,6 @@ func (m *Manager) StartEpochTicker() {
 			select {
 			case <-t.C:
 				m.epoch.Add(1)
-				m.notifyAdvance()
 			case <-m.stopCh:
 				return
 			}
@@ -300,7 +278,6 @@ const retiredMark = math.MaxUint64
 // Retire declares the worker finished; loggers no longer wait on it.
 func (w *Worker) Retire() {
 	w.mark.Store(retiredMark)
-	w.mgr.notifyAdvance()
 }
 
 // Heartbeat publishes the current epoch as the worker's mark. A worker with
@@ -310,7 +287,6 @@ func (w *Worker) Retire() {
 func (w *Worker) Heartbeat() {
 	if w.mark.Load() != retiredMark {
 		w.mark.Store(uint64(w.mgr.epoch.Load()))
-		w.mgr.notifyAdvance()
 	}
 }
 
@@ -456,8 +432,17 @@ func (w *Worker) execute(f *Future, p *proc.Compiled, args proc.Args, adHoc, dis
 		if attempt >= w.mgr.cfg.MaxRetries {
 			return fail(fmt.Errorf("%w (gave up after %d attempts)", ErrConflict, attempt))
 		}
+		// Back off before retrying: the conflicting writer may hold a latch
+		// and need this CPU to release it. Yield 1, 2, 4, ... times, capped.
+		for range 1 << min(attempt, retryBackoffShift) {
+			runtime.Gosched()
+		}
 	}
 }
+
+// retryBackoffShift caps an OCC retry's backoff at 1<<retryBackoffShift
+// yields.
+const retryBackoffShift = 6
 
 // DrainInto appends buffered commits with Epoch <= maxEpoch to dst and
 // returns the extended slice. The worker's buffer is compacted in place
@@ -486,13 +471,6 @@ func (w *Worker) DrainInto(dst []*Committed, maxEpoch uint32) []*Committed {
 // Drain removes and returns buffered commits with Epoch <= maxEpoch.
 func (w *Worker) Drain(maxEpoch uint32) []*Committed {
 	return w.DrainInto(nil, maxEpoch)
-}
-
-// BufferedLen returns the number of undrained commits (tests).
-func (w *Worker) BufferedLen() int {
-	w.bufMu.Lock()
-	defer w.bufMu.Unlock()
-	return len(w.buf)
 }
 
 // stampSeq issues globally unique write-stamp tokens, one per transaction

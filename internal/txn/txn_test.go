@@ -3,6 +3,8 @@ package txn
 import (
 	"errors"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -50,8 +52,8 @@ func TestExecuteCommit(t *testing.T) {
 		t.Errorf("dst = %d, want 120", got)
 	}
 	// One committed record buffered with the write set.
-	if w.BufferedLen() != 1 {
-		t.Fatalf("buffered = %d", w.BufferedLen())
+	if len(w.buf) != 1 {
+		t.Fatalf("buffered = %d", len(w.buf))
 	}
 	recs := w.Drain(engine.EpochOf(ts))
 	if len(recs) != 1 {
@@ -81,8 +83,8 @@ func TestDrainEpochBoundary(t *testing.T) {
 	if len(got) != 1 || got[0].Epoch != 1 {
 		t.Fatalf("drain(1) = %+v", got)
 	}
-	if w.BufferedLen() != 1 {
-		t.Fatalf("buffered = %d", w.BufferedLen())
+	if len(w.buf) != 1 {
+		t.Fatalf("buffered = %d", len(w.buf))
 	}
 	got = w.Drain(2)
 	if len(got) != 1 || got[0].Epoch != 2 {
@@ -134,7 +136,7 @@ func TestAbortedTransactionLeavesNoTrace(t *testing.T) {
 	if got := balance(t, b.DB().Table("Current"), 3); got != before {
 		t.Errorf("aborted write visible: %d", got)
 	}
-	if w.BufferedLen() != 0 {
+	if len(w.buf) != 0 {
 		t.Error("aborted txn buffered a log record")
 	}
 }
@@ -167,12 +169,33 @@ func TestInsertDuplicateAborts(t *testing.T) {
 	}
 }
 
+// TestConflictRetriesYieldToLatchHolder: a retry after a conflict yields
+// the CPU first. On one CPU, a transaction whose read validation keeps
+// failing on a latched row must let the latch holder run, or it burns its
+// retries before the holder ever releases.
+func TestConflictRetriesYieldToLatchHolder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b := workload.NewBank(4)
+	b.Populate(workload.DirectPopulate{})
+	m := NewManager(b.DB(), Config{EpochInterval: time.Hour, MaxRetries: 3})
+	w := m.NewWorker()
+	// Transfer reads Family[1] without writing it; a holder of that row's
+	// latch fails every validation until it runs and unlocks.
+	fam, _ := b.DB().Table("Family").GetRow(1)
+	fam.Lock()
+	go fam.Unlock()
+	if _, err := w.Execute(b.Transfer, proc.Args{proc.A(tuple.I(1)), proc.A(tuple.I(5))}, false, time.Now()); err != nil {
+		t.Fatalf("transfer behind a runnable latch holder: %v", err)
+	}
+}
+
 func TestTimestampsOrderConflicts(t *testing.T) {
 	b, m := setupBank(t, 4)
 	const workers = 4
 	const perWorker = 200
 	var wg sync.WaitGroup
 	tss := make([][]engine.TS, workers)
+	amounts := make([][]int64, workers)
 	for wi := 0; wi < workers; wi++ {
 		wg.Add(1)
 		go func(wi int) {
@@ -181,39 +204,46 @@ func TestTimestampsOrderConflicts(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(wi)))
 			for i := 0; i < perWorker; i++ {
 				// All deposits to account 1: maximal conflict.
+				amount := int64(rng.Intn(10))
 				ts, err := w.Execute(b.Deposit,
-					proc.Args{proc.A(tuple.I(1)), proc.A(tuple.I(int64(rng.Intn(10)))), proc.A(tuple.I(1))},
+					proc.Args{proc.A(tuple.I(1)), proc.A(tuple.I(amount)), proc.A(tuple.I(1))},
 					false, time.Now())
 				if err != nil {
 					t.Errorf("worker %d: %v", wi, err)
 					return
 				}
 				tss[wi] = append(tss[wi], ts)
+				amounts[wi] = append(amounts[wi], amount)
 			}
 		}(wi)
 	}
 	wg.Wait()
-	// All timestamps distinct, and the row's version chain is ordered.
-	seen := make(map[engine.TS]bool)
-	for _, l := range tss {
-		for _, ts := range l {
-			if seen[ts] {
+	// All timestamps distinct, and timestamp order is the serialization
+	// order: the version read at each commit TS holds exactly the deposits
+	// committed at or before it.
+	deposit := make(map[engine.TS]int64)
+	for wi, l := range tss {
+		for i, ts := range l {
+			if _, dup := deposit[ts]; dup {
 				t.Fatalf("duplicate TS %d", ts)
 			}
-			seen[ts] = true
+			deposit[ts] = amounts[wi][i]
 		}
 	}
+	order := make([]engine.TS, 0, len(deposit))
+	for ts := range deposit {
+		order = append(order, ts)
+	}
+	slices.Sort(order)
 	row, _ := b.DB().Table("Current").GetRow(1)
-	prev := engine.TS(^uint64(0))
-	n := 0
-	for v := row.Head(); v != nil; v = v.Next() {
-		if v.BeginTS >= prev {
-			t.Fatalf("version chain out of order: %d then %d", prev, v.BeginTS)
+	want := row.ReadAt(order[0] - 1)[1].Int() // the populated balance
+	for _, ts := range order {
+		want += deposit[ts]
+		if got := row.ReadAt(ts)[1].Int(); got != want {
+			t.Fatalf("balance at TS %d = %d, want %d", ts, got, want)
 		}
-		prev = v.BeginTS
-		n++
 	}
-	if n != workers*perWorker+1 { // +1 for the populated version
+	if n, _ := row.TruncateVersions(0); n != workers*perWorker+1 { // +1 for the populated version
 		t.Fatalf("versions = %d, want %d", n, workers*perWorker+1)
 	}
 }

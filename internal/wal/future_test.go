@@ -28,7 +28,7 @@ func submitFuture(t testing.TB, w *txn.Worker, b *workload.Bank, acct int64) *tx
 func TestReleaseResolvesFutures(t *testing.T) {
 	b, m := bankSetup(t)
 	dev := simdisk.New("d", simdisk.Unlimited())
-	cfg := DefaultConfig(Command)
+	cfg := Config{Kind: Command, BatchEpochs: 100, FlushInterval: time.Millisecond, Sync: true}
 	cfg.FlushInterval = 200 * time.Microsecond
 	var hookSeen int
 	cfg.OnRelease = func(cs []*txn.Committed) {
@@ -84,7 +84,7 @@ func TestReleaseResolvesFutures(t *testing.T) {
 func TestAbortFailsOutstandingFutures(t *testing.T) {
 	b, m := bankSetup(t)
 	dev := simdisk.New("d", simdisk.Unlimited())
-	cfg := DefaultConfig(Command)
+	cfg := Config{Kind: Command, BatchEpochs: 100, FlushInterval: time.Millisecond, Sync: true}
 	cfg.FlushInterval = time.Hour // nothing flushes: everything stays buffered
 	ls := NewLogSet(m, cfg, []*simdisk.Device{dev})
 	w := m.NewWorker()
@@ -118,7 +118,7 @@ func TestAbortFailsOutstandingFutures(t *testing.T) {
 func TestCloseFailsUnretiredWorkerFutures(t *testing.T) {
 	b, m := bankSetup(t)
 	dev := simdisk.New("d", simdisk.Unlimited())
-	cfg := DefaultConfig(Command)
+	cfg := Config{Kind: Command, BatchEpochs: 100, FlushInterval: time.Millisecond, Sync: true}
 	cfg.FlushInterval = 200 * time.Microsecond
 	ls := NewLogSet(m, cfg, []*simdisk.Device{dev})
 	w := m.NewWorker()

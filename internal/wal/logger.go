@@ -78,12 +78,6 @@ type Config struct {
 	EncodeStripes int
 }
 
-// DefaultConfig returns the standard logging configuration for the given
-// scheme.
-func DefaultConfig(kind Kind) Config {
-	return Config{Kind: kind, BatchEpochs: 100, FlushInterval: time.Millisecond, Sync: true}
-}
-
 // BatchFileName names the batch file of a logger.
 func BatchFileName(loggerID int, batch uint32) string {
 	return fmt.Sprintf("log-%03d-%08d", loggerID, batch)
@@ -106,14 +100,6 @@ type LogSet struct {
 	// record (crash-safe sidecar + rename), bounding both the file and the
 	// scan recovery pays on it.
 	peAppends int
-
-	// peMu/peCond wake WaitForEpoch callers when the persistent epoch
-	// advances — broadcast from updatePepoch while logging is active, and
-	// from the manager's epoch-movement callback when it is not (an
-	// inactive set's PersistedEpoch shadows the safe epoch) — replacing the
-	// former 100µs busy-poll loops in both modes.
-	peMu   sync.Mutex
-	peCond *sync.Cond
 
 	// Release sharding: flushed-but-unreleased records are partitioned by
 	// committing worker ID over relShards; each pepoch pass publishes
@@ -262,18 +248,8 @@ func NewLogSet(mgr *txn.Manager, cfg Config, devices []*simdisk.Device) *LogSet 
 		cfg.EncodeStripes = min(8, runtime.GOMAXPROCS(0))
 	}
 	s := &LogSet{mgr: mgr, cfg: cfg, stopCh: make(chan struct{})}
-	s.peCond = sync.NewCond(&s.peMu)
 	if cfg.Kind == Off || len(devices) == 0 {
-		// Inactive: PersistedEpoch shadows the safe epoch, which advances
-		// with the epoch clock and worker marks — not through updatePepoch.
-		// Route those movements into the same condition variable so
-		// WaitForEpoch parks instead of busy-polling (the former Off-mode
-		// caveat).
-		mgr.SetOnAdvance(func() {
-			s.peMu.Lock()
-			s.peCond.Broadcast()
-			s.peMu.Unlock()
-		})
+		// Inactive: PersistedEpoch shadows the safe epoch.
 		return s
 	}
 	s.pepoch.Store(cfg.ResumeEpoch)
@@ -482,19 +458,6 @@ func (s *LogSet) PersistedEpoch() uint32 {
 	return s.pepoch.Load()
 }
 
-// WaitForEpoch blocks until the persistent epoch reaches e (tests and
-// clean shutdown). Waiters park on a condition variable — signaled from
-// updatePepoch while logging is active, and from the manager's
-// epoch-movement callback when it is not (the inactive persistent epoch
-// shadows the safe epoch) — so no mode busy-polls.
-func (s *LogSet) WaitForEpoch(e uint32) {
-	s.peMu.Lock()
-	for s.PersistedEpoch() < e {
-		s.peCond.Wait()
-	}
-	s.peMu.Unlock()
-}
-
 // updatePepoch recomputes the minimum persisted epoch, records it durably
 // in pepoch.log when (and only when) it advanced, and releases covered
 // transactions. The release scan runs every pass, advance or not: a flush
@@ -544,13 +507,6 @@ func (s *LogSet) updatePepoch() {
 			s.peAppends++
 		}
 		s.pepoch.Store(pe)
-		// Wake WaitForEpoch parkers. The broadcast happens under peMu so a
-		// waiter that just checked the old pepoch is already parked (or
-		// holds the lock and will see the new value); the store above may
-		// stay outside the lock.
-		s.peMu.Lock()
-		s.peCond.Broadcast()
-		s.peMu.Unlock()
 		if s.cfg.OnPepochAdvance != nil {
 			s.cfg.OnPepochAdvance(pe)
 		}

@@ -24,7 +24,7 @@ import (
 func TestReleaseRecyclesWithoutObserver(t *testing.T) {
 	b, m := bankSetup(t)
 	dev := simdisk.New("d", simdisk.Unlimited())
-	cfg := DefaultConfig(Command)
+	cfg := Config{Kind: Command, BatchEpochs: 100, FlushInterval: time.Millisecond, Sync: true}
 	cfg.FlushInterval = 200 * time.Microsecond
 	ls := NewLogSet(m, cfg, []*simdisk.Device{dev})
 	ls.Start()
@@ -101,7 +101,7 @@ func TestReleaseRecyclesWithoutObserver(t *testing.T) {
 func TestCloseReleasesAlreadyCoveredEpochs(t *testing.T) {
 	b, m := bankSetup(t)
 	dev := simdisk.New("d", simdisk.Unlimited())
-	cfg := DefaultConfig(Command)
+	cfg := Config{Kind: Command, BatchEpochs: 100, FlushInterval: time.Millisecond, Sync: true}
 	cfg.FlushInterval = time.Hour // no background flushes: Close does the only one
 	// The devices are durable through epoch 5 from a "previous
 	// incarnation"; the epoch clock still runs from 1, so every commit
@@ -137,23 +137,18 @@ func TestCloseReleasesAlreadyCoveredEpochs(t *testing.T) {
 	}
 }
 
-// TestWaitForEpochSignaled covers the condition-variable WaitForEpoch:
-// waiters park and wake as updatePepoch advances the persistent epoch.
-func TestWaitForEpochSignaled(t *testing.T) {
+// TestPersistedEpochAdvances: updatePepoch advances the persistent epoch
+// as commits reach the device and the worker's mark moves on.
+func TestPersistedEpochAdvances(t *testing.T) {
 	b, m := bankSetup(t)
 	dev := simdisk.New("d", simdisk.Unlimited())
-	cfg := DefaultConfig(Command)
+	cfg := Config{Kind: Command, BatchEpochs: 100, FlushInterval: time.Millisecond, Sync: true}
 	cfg.FlushInterval = 100 * time.Microsecond
 	ls := NewLogSet(m, cfg, []*simdisk.Device{dev})
 	w := m.NewWorker()
 	ls.AttachWorker(w)
 	ls.Start()
 
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ls.WaitForEpoch(3)
-	}()
 	for e := 0; e < 4; e++ {
 		if _, err := w.Execute(b.Deposit,
 			proc.Args{proc.A(tuple.I(int64(1 + e))), proc.A(tuple.I(1)), proc.A(tuple.I(1))}, false, time.Now()); err != nil {
@@ -163,13 +158,12 @@ func TestWaitForEpochSignaled(t *testing.T) {
 		w.Heartbeat()
 	}
 	w.Retire()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("WaitForEpoch(3) never woke although pepoch advanced past 3")
-	}
-	if ls.PersistedEpoch() < 3 {
-		t.Fatalf("pepoch = %d after wait returned", ls.PersistedEpoch())
+	deadline := time.Now().Add(5 * time.Second)
+	for ls.PersistedEpoch() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("pepoch = %d, never reached 3", ls.PersistedEpoch())
+		}
+		time.Sleep(time.Millisecond)
 	}
 	ls.Close()
 }

@@ -256,14 +256,3 @@ func ReloadAll(devices []*simdisk.Device, pepoch uint32, threads int) ([]*Entry,
 	}
 	return all, total, nil
 }
-
-// MaxEpoch returns the largest commit epoch among entries (0 if none).
-func MaxEpoch(entries []*Entry) uint32 {
-	var m uint32
-	for _, e := range entries {
-		if ep := engine.EpochOf(e.TS); ep > m {
-			m = ep
-		}
-	}
-	return m
-}

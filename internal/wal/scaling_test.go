@@ -2,8 +2,8 @@ package wal
 
 // Tests for the core-scaling pieces of the durability pipeline: sharded
 // release scanning (exactly-once resolution across shards), striped batch
-// encoding (byte-identical to the serial encode), and the condition-variable
-// WaitForEpoch in Off mode (no busy-polling when logging is inactive).
+// encoding (byte-identical to the serial encode), and the persistent epoch
+// of an inactive log set.
 
 import (
 	"bytes"
@@ -25,7 +25,7 @@ import (
 func TestShardedReleaseExactlyOnce(t *testing.T) {
 	b, m := bankSetup(t)
 	devs := []*simdisk.Device{simdisk.New("d0", simdisk.Unlimited()), simdisk.New("d1", simdisk.Unlimited())}
-	cfg := DefaultConfig(Command)
+	cfg := Config{Kind: Command, BatchEpochs: 100, FlushInterval: time.Millisecond, Sync: true}
 	cfg.FlushInterval = 200 * time.Microsecond
 	cfg.ReleaseShards = 4
 	var obsMu sync.Mutex
@@ -115,7 +115,7 @@ func TestStripedEncodeMatchesInline(t *testing.T) {
 	inline := encodeRecords(nil, Command, recs)
 
 	dev := simdisk.New("enc", simdisk.Unlimited())
-	cfg := DefaultConfig(Command)
+	cfg := Config{Kind: Command, BatchEpochs: 100, FlushInterval: time.Millisecond, Sync: true}
 	cfg.EncodeStripes = 4
 	ls := NewLogSet(m, cfg, []*simdisk.Device{dev})
 	ls.Start()
@@ -138,39 +138,22 @@ func TestStripedEncodeMatchesInline(t *testing.T) {
 	}
 }
 
-// TestWaitForEpochOffModeParksAndWakes pins the Off-mode WaitForEpoch fix:
-// with logging inactive the persistent epoch shadows the safe epoch, and a
-// waiter must park on the condition variable (not busy-poll) until epoch
-// movement — routed through the manager's advance callback — wakes it.
-func TestWaitForEpochOffModeParksAndWakes(t *testing.T) {
+// TestOffModePersistedEpochShadowsSafeEpoch: with logging inactive the
+// persistent epoch is the safe epoch, so it moves with the epoch clock.
+func TestOffModePersistedEpochShadowsSafeEpoch(t *testing.T) {
 	_, m := bankSetup(t)
 	ls := NewLogSet(m, Config{Kind: Off}, nil)
 	if ls.Active() {
 		t.Fatal("Off log set reports active")
 	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ls.WaitForEpoch(4)
-	}()
-	// The clock is at 1 (safe epoch 1 with no workers): the waiter must
-	// park, not return.
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case <-done:
-		t.Fatal("WaitForEpoch(4) returned with the safe epoch at 1")
-	default:
+	if got := ls.PersistedEpoch(); got != m.SafeEpoch() {
+		t.Fatalf("pepoch = %d, want the safe epoch %d", got, m.SafeEpoch())
 	}
-	// Each advance broadcasts through the manager callback; the third
-	// brings the safe epoch to 4 and must wake the waiter.
 	m.AdvanceEpoch()
 	m.AdvanceEpoch()
 	m.AdvanceEpoch()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("WaitForEpoch(4) never woke although the safe epoch reached 4")
+	if got := ls.PersistedEpoch(); got != m.SafeEpoch() || got < 3 {
+		t.Fatalf("pepoch = %d after three advances, want the safe epoch %d", got, m.SafeEpoch())
 	}
 	ls.Close()
 }

@@ -192,7 +192,7 @@ func logSetFixture(t *testing.T, kind Kind, devices int, txns int) (*workload.Ba
 	for i := 0; i < devices; i++ {
 		devs = append(devs, simdisk.New("d", simdisk.Unlimited()))
 	}
-	cfg := DefaultConfig(kind)
+	cfg := Config{Kind: kind, BatchEpochs: 100, FlushInterval: time.Millisecond, Sync: true}
 	cfg.BatchEpochs = 2
 	cfg.FlushInterval = 200 * time.Microsecond
 	ls := NewLogSet(m, cfg, devs)
@@ -273,7 +273,7 @@ func TestLogSetMultiDevice(t *testing.T) {
 func TestCrashDropsUnsyncedTail(t *testing.T) {
 	b, m := bankSetup(t)
 	dev := simdisk.New("d", simdisk.Unlimited())
-	cfg := DefaultConfig(Command)
+	cfg := Config{Kind: Command, BatchEpochs: 100, FlushInterval: time.Millisecond, Sync: true}
 	cfg.FlushInterval = time.Hour // no automatic flushes
 	ls := NewLogSet(m, cfg, []*simdisk.Device{dev})
 	w := m.NewWorker()
@@ -317,7 +317,7 @@ func TestReleaseCallbackAfterPepoch(t *testing.T) {
 	b, m := bankSetup(t)
 	dev := simdisk.New("d", simdisk.Unlimited())
 	var released []*txn.Committed
-	cfg := DefaultConfig(Command)
+	cfg := Config{Kind: Command, BatchEpochs: 100, FlushInterval: time.Millisecond, Sync: true}
 	cfg.FlushInterval = time.Hour
 	cfg.OnRelease = func(cs []*txn.Committed) { released = append(released, cs...) }
 	ls := NewLogSet(m, cfg, []*simdisk.Device{dev})
@@ -353,7 +353,7 @@ func TestBatchFileNameParse(t *testing.T) {
 
 func TestOffLogSetIsInert(t *testing.T) {
 	_, m := bankSetup(t)
-	ls := NewLogSet(m, DefaultConfig(Off), nil)
+	ls := NewLogSet(m, Config{Kind: Off}, nil)
 	ls.Start()
 	w := m.NewWorker()
 	ls.AttachWorker(w) // no-op

@@ -18,7 +18,7 @@ type ServerConfig struct {
 	// every connection onto (default 4).
 	Workers int
 	// Queue is the frontend admission-queue capacity; a full queue surfaces
-	// to clients as backpressure frames (default 4×Workers).
+	// to clients as backpressure frames (0: the frontend's default).
 	Queue int
 	// Window is the per-connection in-flight grant announced in HelloAck;
 	// submissions beyond it are answered with backpressure (default
@@ -144,9 +144,6 @@ type Server struct {
 func NewServer(cfg ServerConfig) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
-	}
-	if cfg.Queue <= 0 {
-		cfg.Queue = 4 * cfg.Workers
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow

@@ -392,14 +392,6 @@ func AppendBackpressure(buf []byte, depth, capacity uint32) []byte {
 	return binary.LittleEndian.AppendUint32(buf, capacity)
 }
 
-// ParseBackpressure decodes a Backpressure payload.
-func ParseBackpressure(p []byte) (depth, capacity uint32, err error) {
-	if len(p) < 8 {
-		return 0, 0, ErrTruncated
-	}
-	return binary.LittleEndian.Uint32(p), binary.LittleEndian.Uint32(p[4:8]), nil
-}
-
 // StatusError is the client-side rendering of a non-OK Result. It unwraps
 // to the engine sentinel matching its code, so errors.Is classification
 // (ErrCrashed vs ErrAborted vs rejected-before-execution) works across the

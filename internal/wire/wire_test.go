@@ -140,12 +140,10 @@ func TestResultCodec(t *testing.T) {
 }
 
 func TestBackpressureCodec(t *testing.T) {
-	d, c, err := ParseBackpressure(AppendBackpressure(nil, 15, 16))
-	if err != nil || d != 15 || c != 16 {
-		t.Fatalf("round trip: %d/%d %v", d, c, err)
-	}
-	if _, _, err := ParseBackpressure([]byte{1, 2, 3}); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("truncated: %v", err)
+	// Little-endian depth, then capacity (docs/PROTOCOL.md).
+	want := []byte{15, 0, 0, 0, 16, 0, 0, 0}
+	if got := AppendBackpressure(nil, 15, 16); !bytes.Equal(got, want) {
+		t.Fatalf("payload = %x, want %x", got, want)
 	}
 }
 

@@ -1,33 +1,8 @@
 package workload
 
-// Partition-key helpers: given a table name and a packed primary key,
-// recover the partitioning attribute a shard router hashes on. These are
-// the inverse of the key packers above — TPC-C keys carry the warehouse in
-// their highest field, Smallbank keys ARE the customer id — exported so
-// internal/shard can place both seed rows and extracted transaction
-// footprints without re-deriving the bit layouts.
-
-// WarehouseOf returns the warehouse id packed into a TPC-C key, or
-// ok=false for tables with no warehouse affinity (ITEM, which every shard
-// replicates, and unknown tables).
-func WarehouseOf(table string, key uint64) (w int64, ok bool) {
-	switch table {
-	case "WAREHOUSE":
-		return int64(key), true
-	case "DISTRICT":
-		return int64(key >> 8), true
-	case "CUSTOMER", "OORDER", "NEW_ORDER":
-		return int64(key >> 32), true
-	case "ORDER_LINE":
-		return int64(key >> 40), true
-	case "STOCK":
-		return int64(key >> 20), true
-	case "HISTORY":
-		return int64(key >> 48), true
-	default: // ITEM and anything unrecognized: replicated / no affinity
-		return 0, false
-	}
-}
+// Partition helpers: Smallbank keys ARE the customer id, so a shard router
+// places both seed rows and extracted transaction footprints by customer
+// range.
 
 // AccountRangeOf maps a Smallbank customer id (1-based, as seeded) onto one
 // of `shards` contiguous account ranges over `customers` accounts: shard i

@@ -2,34 +2,6 @@ package workload
 
 import "testing"
 
-// TestWarehouseOf checks the unpack helpers against the packers
-// themselves: whatever keyX.Pack puts in, WarehouseOf must get back out.
-func TestWarehouseOf(t *testing.T) {
-	cases := []struct {
-		table string
-		key   uint64
-		want  int64
-		ok    bool
-	}{
-		{"WAREHOUSE", 7, 7, true},
-		{"DISTRICT", keyD.Pack(7, 3), 7, true},
-		{"CUSTOMER", keyC.Pack(7, 3, 99), 7, true},
-		{"OORDER", keyO.Pack(2049, 9, 12345), 2049, true},
-		{"NEW_ORDER", keyO.Pack(1, 1, 1), 1, true},
-		{"ORDER_LINE", keyOL.Pack(5, 10, 31, 4), 5, true},
-		{"STOCK", keyS.Pack(4095, 999), 4095, true},
-		{"HISTORY", keyH.Pack(12, 8, 77, 65535), 12, true},
-		{"ITEM", 999, 0, false},
-		{"NoSuchTable", 1, 0, false},
-	}
-	for _, c := range cases {
-		w, ok := WarehouseOf(c.table, c.key)
-		if w != c.want || ok != c.ok {
-			t.Errorf("WarehouseOf(%s, %#x) = (%d, %v), want (%d, %v)", c.table, c.key, w, ok, c.want, c.ok)
-		}
-	}
-}
-
 // TestAccountRangeOf checks contiguity (every customer lands on exactly one
 // shard, ranges are even), monotonicity, and edge clamping.
 func TestAccountRangeOf(t *testing.T) {

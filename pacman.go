@@ -740,9 +740,13 @@ func (d *DB) Close() {
 	}
 }
 
-// Crash simulates a power failure: all background work halts instantly and
-// every device loses its unsynced tail. The in-memory state is left behind
-// for post-mortem comparison; recover into a fresh instance.
+// Crash simulates a power failure. It stops the health watchdog, the
+// checkpoint daemon, the snapshot garbage collector, the epoch clock and the
+// log pipeline, whose outstanding futures resolve ErrCrashed, and every
+// device loses its unsynced tail. It does not stop the Frontends built on
+// the instance: their pool workers run until each Frontend is closed, so
+// close them after Crash. The in-memory state is left behind for post-mortem
+// comparison; recover into a fresh instance.
 func (d *DB) Crash() {
 	if d.watchdog != nil {
 		d.watchdog.Stop()
