@@ -8,7 +8,7 @@ GO ?= go
 # crash-injection subsystem and its fault plane.
 RACE_PKGS := . ./client/... ./internal/wire/... ./internal/frontend/... ./internal/recovery/... ./internal/sched/... ./internal/wal/... ./internal/txn/... ./internal/mvcc/... ./internal/engine/... ./internal/torture/... ./internal/simdisk/... ./internal/checkpoint/... ./internal/shard/... ./internal/health/... ./internal/harness/... ./cmd/pacman-router/...
 
-.PHONY: check fmt vet build test race torture smoke bench bench-mod bench-all docs
+.PHONY: check fmt vet build test race torture smoke bench bench-mod bench-all docs fuzz
 
 check: fmt vet build test race torture smoke bench bench-mod docs
 
@@ -101,3 +101,16 @@ bench-mod:
 # The full experiment benchmark sweep (slow; not part of check).
 bench-all:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
+
+# Every Fuzz* target of the module, one after another, each for FUZZTIME
+# (slow; not part of check). Plain `go test` already runs each target's
+# seed corpus; this target searches beyond it. go test fuzzes one target of
+# one package per run, hence the loop.
+FUZZTIME ?= 60s
+fuzz:
+	@set -e; for dir in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		for t in $$(grep -ho '^func Fuzz[A-Za-z0-9_]*' $$dir/*_test.go 2>/dev/null | cut -c6-); do \
+			echo "== $$t ($$dir)"; \
+			$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) $$dir; \
+		done; \
+	done

@@ -71,7 +71,7 @@ func shedServer(t *testing.T, reply wire.Header, payload []byte) net.Addr {
 // attempts — never an unbounded retry storm — with the attempt count on
 // the StatusError and the shed visible in Stats.
 func TestClientRetryBudgetExhaustion(t *testing.T) {
-	addr := shedServer(t, wire.Header{Type: wire.FrameBackpressure}, wire.AppendBackpressure(nil, 1, 1))
+	addr := shedServer(t, wire.Header{Type: wire.FrameBackpressure}, nil)
 	const budget = 3
 	c, err := client.Dial("tcp", addr.String(), client.Config{
 		Window: 4, RetryBudget: budget,

@@ -158,8 +158,8 @@ func (f *Frontend) ShedStats() ShedStats { return f.fe.ShedStats() }
 type ShedStats = frontend.Shed
 
 // QueueDepth returns the submission queue's current occupancy; paired with
-// QueueCap it is the admission-control signal network backpressure keys
-// off.
+// QueueCap it shows how close the Frontend is to shedding submissions with
+// ErrQueueFull.
 func (f *Frontend) QueueDepth() int { return f.fe.Depth() }
 
 // QueueCap returns the submission queue's capacity.

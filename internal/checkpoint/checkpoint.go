@@ -18,21 +18,14 @@ package checkpoint
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"time"
 
 	"pacman/internal/engine"
+	"pacman/internal/frame"
 	"pacman/internal/simdisk"
 	"pacman/internal/tuple"
 )
-
-const (
-	manifestMagic = 0x5041434B // "PACK"
-	shardMagic    = 0x50414353 // "PACS"
-)
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Config tunes checkpointing.
 type Config struct {
@@ -133,28 +126,21 @@ func Write(db *engine.Database, devices []*simdisk.Device, cfg Config, id uint32
 	}
 	man.Rows = rows
 
-	// Manifest last: its (checksummed) presence marks the checkpoint
-	// complete. A crash before the sync leaves a torn manifest that fails
-	// the CRC and the previous checkpoint stays authoritative.
-	w := devices[0].Create(ManifestName(id))
-	if _, err := w.Write(encodeManifest(man)); err != nil {
-		return nil, err
-	}
-	if err := w.Sync(); err != nil {
+	// Manifest last: its presence marks the checkpoint complete. Replace
+	// publishes it whole or not at all, so a crash mid-write leaves the
+	// previous checkpoint authoritative.
+	if err := devices[0].Replace(ManifestName(id), encodeManifest(man)); err != nil {
 		return nil, err
 	}
 	return man, nil
 }
 
+// writeShard writes one shard file: a sequence of frames, one per flush of
+// its 48 KiB row buffer, each holding whole rows.
 func writeShard(t *engine.Table, dev *simdisk.Device, cfg Config, id uint32, shard int, lo, hi uint64, ts engine.TS) (int64, error) {
 	w := dev.Create(shardName(id, t.ID(), shard))
-	var hdr []byte
-	hdr = binary.LittleEndian.AppendUint32(hdr, shardMagic)
-	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(t.ID()))
-	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(shard))
-	w.Write(hdr)
 	var rows int64
-	buf := make([]byte, 0, 64<<10)
+	buf, base := frame.Reserve(make([]byte, 0, 64<<10))
 	t.ScanSlots(lo, hi, func(r *engine.Row) {
 		data := r.ReadAt(ts)
 		if data == nil {
@@ -167,24 +153,21 @@ func writeShard(t *engine.Table, dev *simdisk.Device, cfg Config, id uint32, sha
 		buf = tuple.AppendTuple(buf, data)
 		rows++
 		if len(buf) >= 48<<10 {
+			frame.Seal(buf, base)
 			w.Write(buf)
-			buf = buf[:0]
+			buf, base = frame.Reserve(buf[:0])
 		}
 	})
-	if len(buf) > 0 {
+	if len(buf) > frame.HeaderSize {
+		frame.Seal(buf, base)
 		w.Write(buf)
 	}
 	return rows, w.Sync()
 }
 
-// encodeManifest frames the manifest as magic + payload + trailing CRC32.
-// The CRC is what makes "the manifest's presence marks the checkpoint
-// complete" crash-safe: a manifest torn by a power failure mid-write — even
-// one whose partially persisted sector decodes structurally — fails the
-// checksum and the previous checkpoint stays authoritative.
+// encodeManifest frames the manifest as one frame.
 func encodeManifest(m *Manifest) []byte {
 	var b []byte
-	b = binary.LittleEndian.AppendUint32(b, manifestMagic)
 	b = binary.LittleEndian.AppendUint32(b, m.ID)
 	b = binary.LittleEndian.AppendUint64(b, m.TS)
 	if m.IncludeSlots {
@@ -207,31 +190,32 @@ func encodeManifest(m *Manifest) []byte {
 			b = binary.LittleEndian.AppendUint16(b, uint16(shards))
 		}
 	}
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
+	return frame.Append(nil, b)
 }
 
-func decodeManifest(b []byte) (*Manifest, error) {
-	if len(b) < 4+4+8+1+8+2+4 {
+// decodeManifest parses a manifest file: exactly one valid frame. A
+// manifest torn by a power failure mid-write — even one whose partially
+// persisted sector decodes structurally — fails and the previous
+// checkpoint stays authoritative.
+func decodeManifest(data []byte) (*Manifest, error) {
+	b, n := frame.Next(data)
+	if n == 0 || n != len(data) {
+		return nil, fmt.Errorf("checkpoint: manifest torn or corrupt")
+	}
+	if len(b) < 4+8+1+8+2 {
 		return nil, fmt.Errorf("checkpoint: manifest truncated")
 	}
-	body, sum := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
-	if crc32.Checksum(body, crcTable) != sum {
-		return nil, fmt.Errorf("checkpoint: manifest checksum mismatch")
-	}
-	if binary.LittleEndian.Uint32(b) != manifestMagic {
-		return nil, fmt.Errorf("checkpoint: bad manifest magic")
-	}
 	m := &Manifest{
-		ID:           binary.LittleEndian.Uint32(b[4:]),
-		TS:           binary.LittleEndian.Uint64(b[8:]),
-		IncludeSlots: b[16] == 1,
-		Rows:         int64(binary.LittleEndian.Uint64(b[17:])),
+		ID:           binary.LittleEndian.Uint32(b),
+		TS:           binary.LittleEndian.Uint64(b[4:]),
+		IncludeSlots: b[12] == 1,
+		Rows:         int64(binary.LittleEndian.Uint64(b[13:])),
 		Tables:       map[int]int{},
 	}
-	n := int(binary.LittleEndian.Uint16(b[25:]))
-	off := 27
+	n = int(binary.LittleEndian.Uint16(b[21:]))
+	off := 23
 	for i := 0; i < n; i++ {
-		if len(body[off:]) < 4 {
+		if len(b[off:]) < 4 {
 			return nil, fmt.Errorf("checkpoint: manifest tables truncated")
 		}
 		id := int(binary.LittleEndian.Uint16(b[off:]))
@@ -352,45 +336,50 @@ func restoreShard(db *engine.Database, devices []*simdisk.Device, m *Manifest, t
 		return 0, 0, 0, fmt.Errorf("checkpoint: shard %s not found", name)
 	}
 	reload := time.Since(loadStart)
-	if len(data) < 8 || binary.LittleEndian.Uint32(data) != shardMagic {
-		return 0, 0, 0, fmt.Errorf("checkpoint: shard %s corrupt header", name)
-	}
 	t := db.TableByID(tableID)
 	if t == nil {
 		return 0, 0, 0, fmt.Errorf("checkpoint: unknown table %d", tableID)
 	}
-	rest := data[8:]
 	var rows int64
-	for len(rest) > 0 {
-		if len(rest) < 8 {
-			return 0, 0, 0, fmt.Errorf("checkpoint: shard %s truncated", name)
-		}
-		key := binary.LittleEndian.Uint64(rest)
-		rest = rest[8:]
-		var slot uint64
-		if m.IncludeSlots {
+	valid, err := frame.Walk(data, func(rest []byte) error {
+		for len(rest) > 0 {
 			if len(rest) < 8 {
-				return 0, 0, 0, fmt.Errorf("checkpoint: shard %s truncated", name)
+				return fmt.Errorf("checkpoint: shard %s truncated", name)
 			}
-			slot = binary.LittleEndian.Uint64(rest)
+			key := binary.LittleEndian.Uint64(rest)
 			rest = rest[8:]
+			var slot uint64
+			if m.IncludeSlots {
+				if len(rest) < 8 {
+					return fmt.Errorf("checkpoint: shard %s truncated", name)
+				}
+				slot = binary.LittleEndian.Uint64(rest)
+				rest = rest[8:]
+			}
+			tup, n, err := tuple.DecodeTuple(rest)
+			if err != nil {
+				return fmt.Errorf("checkpoint: shard %s: %w", name, err)
+			}
+			rest = rest[n:]
+			var row *engine.Row
+			if deferIndex {
+				row = t.PlaceRowAt(slot, key)
+			} else if m.IncludeSlots {
+				row = t.PlaceRowAt(slot, key)
+				t.InsertIndex(key, row)
+			} else {
+				row, _ = t.GetOrCreateRow(key)
+			}
+			row.Install(m.TS, tup, false, true)
+			rows++
 		}
-		tup, n, err := tuple.DecodeTuple(rest)
-		if err != nil {
-			return 0, 0, 0, fmt.Errorf("checkpoint: shard %s: %w", name, err)
-		}
-		rest = rest[n:]
-		var row *engine.Row
-		if deferIndex {
-			row = t.PlaceRowAt(slot, key)
-		} else if m.IncludeSlots {
-			row = t.PlaceRowAt(slot, key)
-			t.InsertIndex(key, row)
-		} else {
-			row, _ = t.GetOrCreateRow(key)
-		}
-		row.Install(m.TS, tup, false, true)
-		rows++
+		return nil
+	})
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	if valid != len(data) {
+		return 0, 0, 0, fmt.Errorf("checkpoint: shard %s torn or corrupt at byte %d", name, valid)
 	}
 	return rows, int64(len(data)), reload, nil
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pacman/internal/engine"
+	"pacman/internal/frame"
 	"pacman/internal/proc"
 	"pacman/internal/simdisk"
 	"pacman/internal/tuple"
@@ -146,19 +147,21 @@ func TestTornManifestVariants(t *testing.T) {
 		data []byte
 	}{
 		{"empty", nil},
-		{"half header", good[:8]},
-		{"missing crc", good[:len(good)-4]},
+		{"half header", good[:4]},
+		{"header only", good[:frame.HeaderSize]},
+		{"missing last table", good[:len(good)-4]},
 		{"cut mid tables", good[:len(good)-6]},
 		{"bit flip in body", func() []byte {
 			d := append([]byte(nil), good...)
-			d[9] ^= 0x40 // inside the TS field: structurally still decodable
+			d[frame.HeaderSize+5] ^= 0x40 // inside the TS field: structurally still decodable
 			return d
 		}()},
 		{"bit flip in crc", func() []byte {
 			d := append([]byte(nil), good...)
-			d[len(d)-1] ^= 0x01
+			d[4] ^= 0x01
 			return d
 		}()},
+		{"trailing garbage", append(append([]byte(nil), good...), 0xEE)},
 	}
 	for _, tc := range cases {
 		t.Run(strings.ReplaceAll(tc.name, " ", "-"), func(t *testing.T) {

@@ -55,10 +55,8 @@ type RunConfig struct {
 	// worker pool through the frontend (default: Workers). Raising it
 	// models many logical requests in flight over a bounded pool.
 	Clients int
-	// Duration bounds the run (alternative: Txns).
+	// Duration bounds the run.
 	Duration time.Duration
-	// Txns bounds the run by transaction count (0 = use Duration).
-	Txns int
 	// AdHocPct tags this percentage of update transactions ad-hoc.
 	AdHocPct int
 
@@ -106,7 +104,7 @@ func (c RunConfig) Defaults() RunConfig {
 	if c.Clients == 0 {
 		c.Clients = c.Workers
 	}
-	if c.Duration == 0 && c.Txns == 0 {
+	if c.Duration == 0 {
 		c.Duration = 2 * time.Second
 	}
 	if c.EpochInterval == 0 {
@@ -276,8 +274,6 @@ func Run(cfg RunConfig, clean bool) (*RunResult, error) {
 
 	var committed, aborted atomic.Int64
 	stop := make(chan struct{})
-	var txnBudget atomic.Int64
-	txnBudget.Store(int64(cfg.Txns))
 
 	var wg sync.WaitGroup
 	var memBefore runtime.MemStats
@@ -316,9 +312,6 @@ func Run(cfg RunConfig, clean bool) (*RunResult, error) {
 				case <-stop:
 					return
 				default:
-				}
-				if cfg.Txns > 0 && txnBudget.Add(-1) < 0 {
-					return
 				}
 				tx := w.Generate(rng)
 				r := frontend.Request{P: tx.Proc, Args: tx.Args}
@@ -391,9 +384,7 @@ func Run(cfg RunConfig, clean bool) (*RunResult, error) {
 		}
 	}()
 
-	if cfg.Duration > 0 {
-		time.Sleep(cfg.Duration)
-	}
+	time.Sleep(cfg.Duration)
 	close(stop)
 	wg.Wait()
 	<-scannerDone

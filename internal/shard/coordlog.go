@@ -2,10 +2,11 @@ package shard
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 
+	"pacman/internal/frame"
 	"pacman/internal/proc"
 	"pacman/internal/simdisk"
 )
@@ -19,12 +20,17 @@ import (
 //	end    (unsynced)                           — gtid only; garbage-collects
 //	        the transaction from recovery's view
 //
+// Each record is one frame (see package frame) whose payload starts with
+// the kind byte and the gtid.
+//
 // Recovery semantics: begin without commit → the coordinator never decided
 // commit, so presume abort and deliver abort pieces (idempotent). Commit
 // without end → the decision is durable but delivery may have been cut
 // short; re-deliver commit pieces. A torn record ends the scan — records
 // after a torn one were never synced, and a torn begin's prepares were
-// never sent (Begin syncs before the router sends anything).
+// never sent (Begin syncs before the router sends anything) — and the
+// reopened log is cut back to the end of the last record the scan used
+// before anything is appended to it.
 const (
 	coordLogFile = "2pc-decisions"
 
@@ -32,8 +38,6 @@ const (
 	recCommit byte = 2
 	recEnd    byte = 3
 )
-
-var coordCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // coordLog is the append-only decision log on one simulated device.
 type coordLog struct {
@@ -50,7 +54,9 @@ type inDoubt struct {
 // openCoordLog opens (or creates) the decision log on dev, scanning any
 // existing contents: it returns the unfinished transactions in log order
 // and the highest gtid ever begun, so the reopened router resumes its gtid
-// sequence past every id a shard may have seen.
+// sequence past every id a shard may have seen. A log whose scan stopped
+// early is cut back through Device.Replace first: a record appended after
+// a torn or undecodable one would be invisible to every later scan.
 func openCoordLog(dev *simdisk.Device) (*coordLog, []inDoubt, uint64, error) {
 	var pending []inDoubt
 	var maxGTID uint64
@@ -59,14 +65,23 @@ func openCoordLog(dev *simdisk.Device) (*coordLog, []inDoubt, uint64, error) {
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("shard: reading decision log: %w", err)
 		}
-		pending, maxGTID = scanCoordLog(data)
+		var valid int
+		pending, maxGTID, valid = scanCoordLog(data)
+		if valid < len(data) {
+			if err := dev.Replace(coordLogFile, data[:valid]); err != nil {
+				return nil, nil, 0, fmt.Errorf("shard: cutting decision log: %w", err)
+			}
+		}
 	}
 	return &coordLog{w: dev.Append(coordLogFile)}, pending, maxGTID, nil
 }
 
+var errShortRecord = errors.New("shard: decision record shorter than kind and gtid")
+
 // scanCoordLog replays the record stream, stopping at the first torn or
-// corrupt record (the crash-truncated tail).
-func scanCoordLog(data []byte) ([]inDoubt, uint64) {
+// corrupt record (the crash-truncated tail) or undecodable begin. valid is
+// the end of the last record it used.
+func scanCoordLog(data []byte) (pending []inDoubt, maxGTID uint64, valid int) {
 	type state struct {
 		g         *gtxn
 		committed bool
@@ -74,20 +89,10 @@ func scanCoordLog(data []byte) ([]inDoubt, uint64) {
 	}
 	var order []uint64
 	states := map[uint64]*state{}
-	var maxGTID uint64
-scan:
-	for off := 0; off+8 <= len(data); {
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		crc := binary.LittleEndian.Uint32(data[off+4:])
-		off += 8
-		if n < 9 || off+n > len(data) {
-			break // torn tail
+	valid, _ = frame.Walk(data, func(payload []byte) error {
+		if len(payload) < 9 {
+			return errShortRecord
 		}
-		payload := data[off : off+n]
-		if crc32.Checksum(payload, coordCRC) != crc {
-			break
-		}
-		off += n
 		kind := payload[0]
 		gtid := binary.LittleEndian.Uint64(payload[1:])
 		if gtid > maxGTID {
@@ -97,7 +102,7 @@ scan:
 		case recBegin:
 			g, err := decodeBegin(gtid, payload[9:])
 			if err != nil {
-				break scan // undecodable synced begin: treat as torn
+				return err // undecodable synced begin: treat as torn
 			}
 			if _, dup := states[gtid]; !dup {
 				order = append(order, gtid)
@@ -112,8 +117,8 @@ scan:
 				st.ended = true
 			}
 		}
-	}
-	var pending []inDoubt
+		return nil
+	})
 	for _, gtid := range order {
 		st := states[gtid]
 		if st.ended {
@@ -121,51 +126,51 @@ scan:
 		}
 		pending = append(pending, inDoubt{g: st.g, committed: st.committed})
 	}
-	return pending, maxGTID
+	return pending, maxGTID, valid
 }
 
 // Begin appends and SYNCS the begin record; the router must not send a
 // single prepare before this returns.
 func (l *coordLog) Begin(g *gtxn) error {
-	payload := []byte{recBegin}
-	payload = binary.LittleEndian.AppendUint64(payload, g.GTID)
-	payload = append(payload, byte(len(g.Parts)))
+	rec, base := frame.Reserve(nil)
+	rec = append(rec, recBegin)
+	rec = binary.LittleEndian.AppendUint64(rec, g.GTID)
+	rec = append(rec, byte(len(g.Parts)))
 	for _, p := range g.Parts {
-		payload = binary.LittleEndian.AppendUint16(payload, uint16(p.Shard))
-		payload = appendInvocation(payload, p.Prepare)
-		payload = appendInvocation(payload, p.Commit)
-		payload = appendInvocation(payload, p.Abort)
+		rec = binary.LittleEndian.AppendUint16(rec, uint16(p.Shard))
+		rec = appendInvocation(rec, p.Prepare)
+		rec = appendInvocation(rec, p.Commit)
+		rec = appendInvocation(rec, p.Abort)
 	}
-	return l.append(payload, true)
+	frame.Seal(rec, base)
+	return l.write(rec, true)
 }
 
 // Commit appends and SYNCS the commit decision; the router must not send a
 // single commit decide before this returns.
 func (l *coordLog) Commit(gtid uint64) error {
-	return l.append(markerPayload(recCommit, gtid), true)
+	return l.write(markerRecord(recCommit, gtid), true)
 }
 
 // End appends the end record without syncing — losing it only costs a
 // harmless re-delivery of idempotent decides at the next recovery.
 func (l *coordLog) End(gtid uint64) error {
-	return l.append(markerPayload(recEnd, gtid), false)
+	return l.write(markerRecord(recEnd, gtid), false)
 }
 
-func markerPayload(kind byte, gtid uint64) []byte {
-	payload := []byte{kind}
-	return binary.LittleEndian.AppendUint64(payload, gtid)
+func markerRecord(kind byte, gtid uint64) []byte {
+	rec, base := frame.Reserve(make([]byte, 0, frame.HeaderSize+9))
+	rec = append(rec, kind)
+	rec = binary.LittleEndian.AppendUint64(rec, gtid)
+	frame.Seal(rec, base)
+	return rec
 }
 
-func (l *coordLog) append(payload []byte, sync bool) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, coordCRC))
+// write appends one framed record in a single device write.
+func (l *coordLog) write(rec []byte, sync bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := l.w.Write(payload); err != nil {
+	if _, err := l.w.Write(rec); err != nil {
 		return err
 	}
 	if sync {

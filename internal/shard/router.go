@@ -247,12 +247,6 @@ func errFuture(err error) *future {
 // procedures, not the 2PC pieces.
 func (r *Router) Procs() []string { return r.cluster.Public() }
 
-// QueueDepth implements wire.Backend.
-func (r *Router) QueueDepth() int { return int(r.inflight.Load()) }
-
-// QueueCap implements wire.Backend.
-func (r *Router) QueueCap() int { return r.cfg.QueueCap }
-
 // Close implements wire.Backend: it stops admitting, severs the backside
 // links (resolving in-flight futures), and waits the dispatch goroutines
 // out.

@@ -201,12 +201,33 @@ func (d *Device) Append(name string) *Writer {
 	return &Writer{dev: d, f: f}
 }
 
+// SidecarPrefix names the sidecar Replace stages a file in. It lies outside
+// every file namespace a reader lists ("log-", "ckpt-"), so a sidecar a
+// crash left behind is never mistaken for a published file; tail repair
+// removes such leftovers.
+const SidecarPrefix = "replace~"
+
+// Replace atomically publishes data as the whole of the named file: it
+// writes data to a sidecar, syncs it, and renames it over name. A crash at
+// any point leaves either the previous file or the new one, never a mix.
+func (d *Device) Replace(name string, data []byte) error {
+	side := SidecarPrefix + name
+	w := d.Create(side)
+	if _, err := w.Write(data); err != nil {
+		return err
+	}
+	if err := w.Sync(); err != nil {
+		return err
+	}
+	return d.Rename(side, name)
+}
+
 // Rename atomically replaces newname with oldname's file — the model is a
 // journaled-metadata filesystem where rename is the atomic, durable publish
-// step (crash-safe file rewrites sync a sidecar, then Rename it over the
-// original). Only the name mapping is durable: callers must Sync the
-// sidecar's contents before renaming, exactly as on a real FS, or the
-// published file still loses its unsynced bytes at the next crash.
+// step (Replace syncs a sidecar, then renames it over the original). Only
+// the name mapping is durable: callers must Sync the sidecar's contents
+// before renaming, exactly as on a real FS, or the published file still
+// loses its unsynced bytes at the next crash.
 func (d *Device) Rename(oldname, newname string) error {
 	if _, _, off := d.faultState(); off {
 		return ErrPowerFailed

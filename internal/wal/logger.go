@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pacman/internal/frame"
 	"pacman/internal/health"
 	"pacman/internal/simdisk"
 	"pacman/internal/txn"
@@ -476,25 +477,23 @@ func (s *LogSet) updatePepoch() {
 		}
 	}
 	if pe > s.pepoch.Load() {
-		// The marker is an append-only sequence of 8-byte (pe, ^pe) records;
-		// readers take the last valid one, so a crash mid-append tears only
-		// the new record and the previous durable pepoch survives. (A
+		// The marker is an append-only sequence of frames, each holding one
+		// pe; readers take the last valid one, so a crash mid-append tears
+		// only the new record and the previous durable pepoch survives. (A
 		// create-truncate-rewrite here would have a window where a crash
 		// destroys the marker entirely, un-acknowledging every durable
 		// commit.) Every pepochCompactEvery appends the file is compacted
-		// back to one record through the same crash-safe sidecar+rename
-		// protocol tail repair uses, so it never grows without bound.
+		// back to one record through Device.Replace, so it never grows
+		// without bound.
 		if s.peAppends >= pepochCompactEvery {
-			if err := writePepochMarker(s.pepochDev, pe); err != nil {
+			if err := s.pepochDev.Replace(PepochFileName, appendPepochRecord(nil, pe)); err != nil {
 				return
 			}
 			s.peAppends = 0
 		} else {
 			w := s.pepochDev.Append(PepochFileName)
-			var buf [8]byte
-			binary.LittleEndian.PutUint32(buf[:4], pe)
-			binary.LittleEndian.PutUint32(buf[4:], pe^0xFFFFFFFF) // trivial check word
-			if _, err := w.Write(buf[:]); err != nil {
+			var buf [frame.HeaderSize + 4]byte
+			if _, err := w.Write(appendPepochRecord(buf[:0], pe)); err != nil {
 				return
 			}
 			if err := w.Sync(); err != nil {
@@ -680,46 +679,34 @@ func (s *LogSet) SyncProbe() func(now time.Time) time.Duration {
 }
 
 // pepochCompactEvery bounds the append-only marker: after this many
-// appended records the marker is rewritten to a single record (4 KiB of
+// appended records the marker is rewritten to a single record (6 KiB of
 // appends between compactions), so neither the file nor recovery's scan of
 // it grows with uptime.
 const pepochCompactEvery = 512
 
-// scanPepochRecords walks the marker's 8-byte (pe, ^pe) records and
-// returns the byte length of the valid prefix and the last valid record's
-// epoch. It is the single definition of the marker format, shared by
-// ReadPepoch and tail repair — a second copy drifting is exactly how
-// misalignment bugs are born.
+// appendPepochRecord appends one marker record: a frame whose payload is
+// the 4-byte epoch.
+func appendPepochRecord(buf []byte, pe uint32) []byte {
+	var p [4]byte
+	binary.LittleEndian.PutUint32(p[:], pe)
+	return frame.Append(buf, p[:])
+}
+
+// scanPepochRecords walks the marker's records and returns the byte length
+// of the valid prefix and the last valid record's epoch. ReadPepoch and
+// tail repair both read the marker through it.
 func scanPepochRecords(b []byte) (valid int, pe uint32) {
-	for valid+8 <= len(b) {
-		v := binary.LittleEndian.Uint32(b[valid:])
-		if binary.LittleEndian.Uint32(b[valid+4:])^0xFFFFFFFF != v {
-			break // torn/corrupt record: everything before it is valid
+	valid, _ = frame.Walk(b, func(p []byte) error {
+		if len(p) != 4 {
+			return errBadPepochRecord
 		}
-		pe = v
-		valid += 8
-	}
+		pe = binary.LittleEndian.Uint32(p)
+		return nil
+	})
 	return valid, pe
 }
 
-// writePepochMarker rewrites the marker as a single record holding pe,
-// staged in a sidecar, synced, and atomically renamed — the crash-safe
-// compaction path. The sidecar uses the repair prefix so a crashed
-// compaction's leftovers are swept by the next tail repair.
-func writePepochMarker(dev *simdisk.Device, pe uint32) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint32(buf[:4], pe)
-	binary.LittleEndian.PutUint32(buf[4:], pe^0xFFFFFFFF)
-	side := repairSidecarPrefix + PepochFileName
-	w := dev.Create(side)
-	if _, err := w.Write(buf[:]); err != nil {
-		return err
-	}
-	if err := w.Sync(); err != nil {
-		return err
-	}
-	return dev.Rename(side, PepochFileName)
-}
+var errBadPepochRecord = errors.New("wal: pepoch record is not 4 bytes")
 
 // ReadPepoch recovers the persistent epoch marker from a device: the last
 // valid record of the append-only marker file. A torn or corrupt tail —

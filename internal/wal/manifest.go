@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"strings"
 
+	"pacman/internal/frame"
 	"pacman/internal/proc"
 	"pacman/internal/simdisk"
 	"pacman/internal/tuple"
@@ -76,8 +76,6 @@ type CatalogManifest struct {
 	SeedFP uint64
 }
 
-const manifestMagic = 0x5041434D // "PACM"
-
 // SeedUnverified is the SeedFP sentinel for instances whose initial
 // population was installed outside the fingerprinting seed path (e.g. an
 // adopted workload catalog populated directly). Their logs are recoverable
@@ -86,8 +84,8 @@ const manifestMagic = 0x5041434D // "PACM"
 // letting a nil-seed blueprint validate against an unseeded catalog.
 const SeedUnverified = ^uint64(0)
 
-// EncodeCatalogManifest serializes m with a magic/version/CRC frame.
-func EncodeCatalogManifest(m *CatalogManifest) []byte {
+// encodeCatalogManifest serializes m as one frame.
+func encodeCatalogManifest(m *CatalogManifest) []byte {
 	var p []byte
 	p = append(p, byte(m.Kind))
 	p = binary.LittleEndian.AppendUint32(p, m.BatchEpochs)
@@ -107,33 +105,15 @@ func EncodeCatalogManifest(m *CatalogManifest) []byte {
 		p = appendString(p, pr.Name)
 		p = binary.LittleEndian.AppendUint64(p, pr.Fingerprint)
 	}
-	var buf []byte
-	buf = binary.LittleEndian.AppendUint32(buf, manifestMagic)
-	buf = append(buf, fileVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(p, crcTable))
-	return append(buf, p...)
+	return frame.Append(nil, p)
 }
 
-// DecodeCatalogManifest parses an encoded manifest.
-func DecodeCatalogManifest(b []byte) (*CatalogManifest, error) {
-	if len(b) < 13 {
-		return nil, fmt.Errorf("wal: catalog manifest truncated")
-	}
-	if binary.LittleEndian.Uint32(b) != manifestMagic {
-		return nil, fmt.Errorf("wal: catalog manifest bad magic")
-	}
-	if b[4] != fileVersion {
-		return nil, fmt.Errorf("wal: catalog manifest unsupported version %d", b[4])
-	}
-	plen := int(binary.LittleEndian.Uint32(b[5:]))
-	crc := binary.LittleEndian.Uint32(b[9:])
-	if len(b) < 13+plen {
-		return nil, fmt.Errorf("wal: catalog manifest truncated")
-	}
-	p := b[13 : 13+plen]
-	if crc32.Checksum(p, crcTable) != crc {
-		return nil, fmt.Errorf("wal: catalog manifest corrupt")
+// decodeCatalogManifest parses an encoded manifest: exactly one valid
+// frame, or the file is torn or corrupt.
+func decodeCatalogManifest(b []byte) (*CatalogManifest, error) {
+	p, n := frame.Next(b)
+	if n == 0 || n != len(b) {
+		return nil, fmt.Errorf("wal: catalog manifest torn or corrupt")
 	}
 	d := &manifestDecoder{b: p}
 	m := &CatalogManifest{
@@ -187,22 +167,12 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// WriteCatalogManifest persists m to the device: staged in a sidecar,
-// synced, then atomically renamed into place. A restart rewrites the
-// manifest through this same path, so a crash mid-rewrite can never leave
-// the device without a readable manifest — either the old one or the new
-// one is in place, and a stale sidecar is harmlessly overwritten by the
-// next write.
+// WriteCatalogManifest persists m to the device through Device.Replace. A
+// restart rewrites the manifest the same way, so a crash mid-rewrite can
+// never leave the device without a readable manifest: either the old one
+// or the new one is in place.
 func WriteCatalogManifest(dev *simdisk.Device, m *CatalogManifest) error {
-	side := "staged~" + CatalogManifestName
-	w := dev.Create(side)
-	if _, err := w.Write(EncodeCatalogManifest(m)); err != nil {
-		return err
-	}
-	if err := w.Sync(); err != nil {
-		return err
-	}
-	return dev.Rename(side, CatalogManifestName)
+	return dev.Replace(CatalogManifestName, encodeCatalogManifest(m))
 }
 
 // ReadCatalogManifest loads the manifest from the device; ErrNoManifest if
@@ -219,7 +189,7 @@ func ReadCatalogManifest(dev *simdisk.Device) (*CatalogManifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	return DecodeCatalogManifest(b)
+	return decodeCatalogManifest(b)
 }
 
 // Diff validates a declared catalog (built from the restart Blueprint)

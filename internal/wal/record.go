@@ -8,9 +8,9 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"pacman/internal/engine"
+	"pacman/internal/frame"
 	"pacman/internal/proc"
 	"pacman/internal/tuple"
 	"pacman/internal/txn"
@@ -86,8 +86,6 @@ const (
 	flagDeleted = 1 << 0
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // appendFileHeader writes the batch file header.
 func appendFileHeader(buf []byte, kind Kind, loggerID int, batch uint32) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, fileMagic)
@@ -116,7 +114,7 @@ func decodeFileHeader(b []byte) (kind Kind, loggerID int, batch uint32, rest []b
 	return kind, loggerID, batch, b[fileHeaderSize:], nil
 }
 
-// encodeRecord appends one framed record ([len][crc][payload]) for the given
+// encodeRecord appends one framed record (see package frame) for the given
 // logging scheme. Under command logging, ad-hoc transactions fall back to a
 // logical tuple record (Section 4.5), and distributed transactions (2PC
 // pieces of a cross-shard commit) do the same so one shard's replay never
@@ -128,8 +126,7 @@ func encodeRecord(buf []byte, kind Kind, c *txn.Committed) []byte {
 	if kind == Off {
 		return buf // Off: nothing
 	}
-	base := len(buf)
-	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // [len][crc], backfilled below
+	buf, base := frame.Reserve(buf)
 	buf = binary.LittleEndian.AppendUint64(buf, c.TS)
 	var flags byte
 	if c.AdHoc {
@@ -155,9 +152,7 @@ func encodeRecord(buf []byte, kind Kind, c *txn.Committed) []byte {
 	default:
 		return buf[:base] // unknown kind: drop the reserved frame
 	}
-	payload := buf[base+8:]
-	binary.LittleEndian.PutUint32(buf[base:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[base+4:], crc32.Checksum(payload, crcTable))
+	frame.Seal(buf, base)
 	return buf
 }
 
@@ -201,26 +196,6 @@ func appendPhysicalWrites(buf []byte, ws []txn.WriteRec) []byte {
 	return buf
 }
 
-// nextFrame validates the framed record ([len][crc][payload]) at the start
-// of b and returns its payload and the bytes it spans. A short, torn or
-// corrupt frame returns n = 0: the caller treats it as a torn tail and
-// stops. Reload and tail repair both frame through here.
-func nextFrame(b []byte) (payload []byte, n int) {
-	if len(b) < 8 {
-		return nil, 0 // clean EOF or torn length word
-	}
-	plen := int(binary.LittleEndian.Uint32(b))
-	crc := binary.LittleEndian.Uint32(b[4:])
-	if plen <= 0 || len(b) < 8+plen {
-		return nil, 0 // torn tail
-	}
-	payload = b[8 : 8+plen]
-	if crc32.Checksum(payload, crcTable) != crc {
-		return nil, 0 // corrupt tail
-	}
-	return payload, 8 + plen
-}
-
 // payloadTS reads a payload's leading commit-timestamp word without
 // decoding the rest (0 when the payload is too short to hold one).
 func payloadTS(p []byte) engine.TS {
@@ -234,7 +209,7 @@ func payloadTS(p []byte) engine.TS {
 // A framing or checksum error returns consumed = 0: the caller treats it
 // as a torn tail and stops.
 func decodeRecord(b []byte, kind Kind) (*Entry, int, error) {
-	payload, n := nextFrame(b)
+	payload, n := frame.Next(b)
 	if n == 0 {
 		return nil, 0, nil
 	}

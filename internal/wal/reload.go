@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pacman/internal/engine"
+	"pacman/internal/frame"
 	"pacman/internal/simdisk"
 )
 
@@ -197,12 +198,12 @@ func walkFile(data []byte, pepoch uint32, ckptTS engine.TS, decode bool) (fileWa
 	// followed by a kept one; only then are they copied out.
 	keepEnd := fileHeaderSize
 	for len(rest) > 0 {
-		payload, n := nextFrame(rest)
+		payload, n := frame.Next(rest)
 		if n == 0 {
 			w.tornBytes = int64(len(rest))
 			break
 		}
-		off, frame := len(data)-len(rest), rest[:n]
+		off, rec := len(data)-len(rest), rest[:n]
 		rest = rest[n:]
 		ts := payloadTS(payload)
 		if engine.EpochOf(ts) > pepoch {
@@ -211,11 +212,11 @@ func walkFile(data []byte, pepoch uint32, ckptTS engine.TS, decode bool) (fileWa
 		}
 		switch {
 		case w.keep != nil:
-			w.keep = append(w.keep, frame...)
+			w.keep = append(w.keep, rec...)
 		case off == keepEnd:
 			keepEnd += n
 		default:
-			w.keep = append(data[:keepEnd:keepEnd], frame...)
+			w.keep = append(data[:keepEnd:keepEnd], rec...)
 		}
 		if ckptTS > 0 && ts <= ckptTS {
 			w.filtered++

@@ -17,9 +17,9 @@ type RepairStats struct {
 	// was replayable — the header itself was torn (a batch file created but
 	// never synced before the crash).
 	FilesRemoved int
-	// StaleSidecars counts leftover repair sidecars from an earlier repair
-	// pass that crashed before publishing; they are discarded (the original
-	// file is still intact — publication is atomic).
+	// StaleSidecars counts leftover Device.Replace sidecars of a rewrite
+	// that crashed before publishing; they are discarded (the original file
+	// is still intact — publication is atomic).
 	StaleSidecars int
 	// GhostRecords counts records dropped because their epoch exceeded the
 	// recovered persistent epoch: durably written by one logger while
@@ -35,19 +35,13 @@ func (s RepairStats) Zero() bool {
 	return s == RepairStats{}
 }
 
-// repairSidecarPrefix names the sidecar a repair pass stages its rewrite
-// in. The prefix is deliberately outside the "log-" namespace so Discover
-// and repair scans never mistake a half-written sidecar for a batch file.
-const repairSidecarPrefix = "repair~"
-
-// repairPepochMarker truncates the pepoch marker to its longest valid
-// prefix of 8-byte records. A crash that tore the marker mid-append (a
-// partially persisted sector) leaves a misaligned fragment at the end;
-// ReadPepoch correctly ignores it, but a restarted incarnation APPENDS
-// after it — and every record behind a misaligned fragment is invisible to
-// the aligned scan, silently freezing the durable pepoch while the new
-// instance keeps acknowledging commits. The rewrite stages a sidecar and
-// renames, like batch-file repair.
+// repairPepochMarker cuts the pepoch marker back to its last valid record.
+// A crash that tore the marker mid-append (a partially persisted sector)
+// leaves a torn frame at the end; ReadPepoch correctly ignores it, but a
+// restarted incarnation APPENDS after it — and every record behind a torn
+// frame is invisible to the walk, silently freezing the durable pepoch
+// while the new instance keeps acknowledging commits. The rewrite goes
+// through Device.Replace, like batch-file repair.
 func repairPepochMarker(dev *simdisk.Device) (tornBytes int64, err error) {
 	r, err := dev.Open(PepochFileName)
 	if err != nil {
@@ -66,7 +60,7 @@ func repairPepochMarker(dev *simdisk.Device) (tornBytes int64, err error) {
 	}
 	// Rewriting to the single last record both drops the torn fragment and
 	// compacts a marker that grew over a long previous incarnation.
-	if err := writePepochMarker(dev, pe); err != nil {
+	if err := dev.Replace(PepochFileName, appendPepochRecord(nil, pe)); err != nil {
 		return 0, err
 	}
 	return int64(len(data) - valid), nil
@@ -107,16 +101,15 @@ func (t *TailRepair) merge(o TailRepair) {
 }
 
 // Apply repairs the devices the pass walked without reading a batch file:
-// per device it discards stale repair sidecars, realigns the pepoch marker,
+// per device it discards stale Replace sidecars, cuts the pepoch marker back,
 // then rewrites or removes each file the pass found in need. It refuses a
 // pass that did not walk every batch file on the devices, since an
 // unwalked file may hold ghosts.
 //
-// Each rewrite is staged in a "repair~" sidecar, synced, and atomically
-// renamed over the original, so a power failure at any point leaves either
-// the untouched original (plus a stale sidecar the next pass discards) or
-// the fully repaired file; a rerun — RepairTail, or a fresh reload and
-// Apply — converges.
+// Each rewrite goes through Device.Replace, so a power failure at any point
+// leaves either the untouched original (plus a stale sidecar the next pass
+// discards) or the fully repaired file; a rerun — RepairTail, or a fresh
+// reload and Apply — converges.
 func (t TailRepair) Apply(devices []*simdisk.Device) (RepairStats, error) {
 	var st RepairStats
 	logs := 0
@@ -127,17 +120,17 @@ func (t TailRepair) Apply(devices []*simdisk.Device) (RepairStats, error) {
 		return st, fmt.Errorf("wal: tail repair walked %d of the devices' %d batch files", t.walked, logs)
 	}
 	for _, dev := range devices {
-		// Discard sidecars a crashed repair pass left behind; their
-		// originals are intact, and a torn sidecar is unusable anyway.
-		for _, name := range dev.List(repairSidecarPrefix) {
+		// Discard sidecars a crashed Replace left behind; their originals
+		// are intact, and a torn sidecar is unusable anyway.
+		for _, name := range dev.List(simdisk.SidecarPrefix) {
 			if err := dev.Remove(name); err != nil {
 				return st, err
 			}
 			st.StaleSidecars++
 		}
-		// The pepoch marker must be record-aligned before the restarted
-		// instance appends to it; a torn fragment would hide every record
-		// appended after it from ReadPepoch's aligned scan.
+		// The pepoch marker must end at a whole record before the restarted
+		// instance appends to it; a torn frame would hide every record
+		// appended after it from ReadPepoch's walk.
 		tornPe, err := repairPepochMarker(dev)
 		if err != nil {
 			return st, err
@@ -168,15 +161,7 @@ func (f fileRepair) apply(st *RepairStats) error {
 		st.TornBytes += f.tornBytes
 		return nil
 	}
-	side := repairSidecarPrefix + name
-	w := dev.Create(side)
-	if _, err := w.Write(f.keep); err != nil {
-		return err
-	}
-	if err := w.Sync(); err != nil {
-		return err
-	}
-	if err := dev.Rename(side, name); err != nil {
+	if err := dev.Replace(name, f.keep); err != nil {
 		return err
 	}
 	st.FilesRewritten++

@@ -240,19 +240,9 @@ func TestRepairTailCrashDuringRepair(t *testing.T) {
 func TestReadPepochAppendOnly(t *testing.T) {
 	dev := simdisk.New("d", simdisk.Unlimited())
 
-	append8 := func(pe uint32) {
+	appendRec := func(pe uint32) {
 		w := dev.Append(PepochFileName)
-		var buf [8]byte
-		buf[0] = byte(pe)
-		buf[1] = byte(pe >> 8)
-		buf[2] = byte(pe >> 16)
-		buf[3] = byte(pe >> 24)
-		x := pe ^ 0xFFFFFFFF
-		buf[4] = byte(x)
-		buf[5] = byte(x >> 8)
-		buf[6] = byte(x >> 16)
-		buf[7] = byte(x >> 24)
-		w.Write(buf[:])
+		w.Write(appendPepochRecord(nil, pe))
 		w.Sync()
 	}
 
@@ -261,24 +251,23 @@ func TestReadPepochAppendOnly(t *testing.T) {
 	if pe, err := ReadPepoch(dev); err != nil || pe != 0 {
 		t.Fatalf("empty marker: pe=%d err=%v", pe, err)
 	}
-	append8(3)
-	append8(7)
+	appendRec(3)
+	appendRec(7)
 	if pe, err := ReadPepoch(dev); err != nil || pe != 7 {
 		t.Fatalf("marker: pe=%d err=%v, want 7", pe, err)
 	}
 	// Torn half-record tail: previous record survives.
 	w := dev.Append(PepochFileName)
-	w.Write([]byte{9, 0, 0})
+	w.Write(appendPepochRecord(nil, 9)[:6])
 	w.Sync()
 	if pe, err := ReadPepoch(dev); err != nil || pe != 7 {
 		t.Fatalf("torn tail: pe=%d err=%v, want 7", pe, err)
 	}
 	// Corrupt full record tail: same fallback.
 	dev2 := simdisk.New("d2", simdisk.Unlimited())
-	w2 := dev2.Create(PepochFileName)
-	w2.Write([]byte{5, 0, 0, 0, 0xFA, 0xFF, 0xFF, 0xFF}) // valid record pe=5
-	w2.Write([]byte{6, 0, 0, 0, 0, 0, 0, 0})             // bad check word
-	w2.Sync()
+	bad := appendPepochRecord(nil, 6)
+	bad[len(bad)-1] ^= 0x01 // the checksum no longer matches
+	writeFile(t, dev2, PepochFileName, append(appendPepochRecord(nil, 5), bad...))
 	if pe, err := ReadPepoch(dev2); err != nil || pe != 5 {
 		t.Fatalf("corrupt tail: pe=%d err=%v, want 5", pe, err)
 	}
@@ -286,16 +275,15 @@ func TestReadPepochAppendOnly(t *testing.T) {
 
 // TestRepairPepochMarkerMisalignment is the regression test for a bug the
 // torture subsystem found: a crash that tears the pepoch marker mid-append
-// leaves a misaligned fragment, and an incarnation that APPENDS after it
-// writes records the aligned ReadPepoch scan can never see — the durable
-// pepoch silently freezes while acks keep flowing. RepairTail must
-// truncate the marker back to a record boundary so resumed appends land
-// aligned.
+// leaves a torn frame, and an incarnation that APPENDS after it writes
+// records the ReadPepoch walk can never see — the durable pepoch silently
+// freezes while acks keep flowing. RepairTail must cut the marker back to
+// its last whole record so resumed appends are seen.
 func TestRepairPepochMarkerMisalignment(t *testing.T) {
 	dev := simdisk.New("d", simdisk.Unlimited())
 	w := dev.Create(PepochFileName)
-	w.Write([]byte{7, 0, 0, 0, 0xF8, 0xFF, 0xFF, 0xFF}) // valid record pe=7
-	w.Write([]byte{9, 0, 0})                            // torn fragment (crash mid-append)
+	w.Write(appendPepochRecord(nil, 7))     // valid record pe=7
+	w.Write(appendPepochRecord(nil, 9)[:3]) // torn frame (crash mid-append)
 	w.Sync()
 
 	st, err := RepairTail([]*simdisk.Device{dev}, 7)
@@ -309,10 +297,10 @@ func TestRepairPepochMarkerMisalignment(t *testing.T) {
 		t.Fatalf("second pass not a no-op: %+v", st2)
 	}
 
-	// The resumed incarnation appends aligned records, and the scan sees
+	// The resumed incarnation appends whole records, and the walk sees
 	// them again.
 	w2 := dev.Append(PepochFileName)
-	w2.Write([]byte{12, 0, 0, 0, 0xF3, 0xFF, 0xFF, 0xFF}) // pe=12
+	w2.Write(appendPepochRecord(nil, 12))
 	w2.Sync()
 	if pe, err := ReadPepoch(dev); err != nil || pe != 12 {
 		t.Fatalf("pepoch after repaired resume = %d, %v; want 12", pe, err)

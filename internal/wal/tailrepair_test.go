@@ -41,19 +41,14 @@ func crashImages(t *testing.T) []crashImage {
 		}},
 		crashImage{"torn pepoch marker", 2, func(t *testing.T) []*simdisk.Device {
 			dev := simdisk.New("d", simdisk.Unlimited())
-			if err := writePepochMarker(dev, 2); err != nil {
-				t.Fatal(err)
-			}
-			w := dev.Append(PepochFileName)
-			w.Write([]byte{9, 0, 0}) // torn fragment of the next record
-			w.Sync()
+			writeFile(t, dev, PepochFileName, append(appendPepochRecord(nil, 2), 4, 0, 0)) // torn frame of the next record
 			writeFile(t, dev, BatchFileName(0, 0), full)
 			return []*simdisk.Device{dev}
 		}},
 		crashImage{"stale sidecar", 2, func(t *testing.T) []*simdisk.Device {
 			dev := simdisk.New("d", simdisk.Unlimited())
 			writeFile(t, dev, BatchFileName(0, 0), valid2)
-			writeFile(t, dev, repairSidecarPrefix+BatchFileName(0, 0), valid2[:fileHeaderSize+5])
+			writeFile(t, dev, simdisk.SidecarPrefix+BatchFileName(0, 0), valid2[:fileHeaderSize+5])
 			return []*simdisk.Device{dev}
 		}},
 		crashImage{"several batches per logger", 2, func(t *testing.T) []*simdisk.Device {

@@ -66,10 +66,6 @@ type Backend interface {
 	// expiry: the Waiter resolves ErrDeadlineExceeded if the commit is not
 	// durable in time.
 	TrySubmit(mode SubmitMode, proc string, args pacman.Args, deadline time.Time) (Waiter, bool)
-	// QueueDepth and QueueCap describe the admission queue for
-	// backpressure frames.
-	QueueDepth() int
-	QueueCap() int
 	// Brownout reports whether the backend's health watchdog is shedding
 	// new work; the server answers submissions with Backpressure frames
 	// instead of admitting them while it holds.
@@ -112,10 +108,8 @@ func (b *feBackend) TrySubmit(mode SubmitMode, proc string, args pacman.Args, de
 	return fut, true
 }
 
-func (b *feBackend) QueueDepth() int { return b.fe.QueueDepth() }
-func (b *feBackend) QueueCap() int   { return b.fe.QueueCap() }
-func (b *feBackend) Brownout() bool  { return b.fe.Brownout() }
-func (b *feBackend) Close()          { b.fe.Close() }
+func (b *feBackend) Brownout() bool { return b.fe.Brownout() }
+func (b *feBackend) Close()         { b.fe.Close() }
 
 // Server speaks the wire protocol over any set of TCP/unix listeners,
 // multiplexing every connection's pipelined submissions onto one pacman
@@ -440,12 +434,12 @@ func (c *srvConn) readLoop() {
 // Result frame whenever the durable-commit future resolves — out of order
 // relative to other requests on the same connection.
 func (c *srvConn) handleSubmit(h Header, p []byte) {
-	fut, st, reject := c.admit(h, p)
+	fut, reject := c.admit(h, p)
 	if fut == nil {
 		c.send(reject)
 		return
 	}
-	go c.respond(h.ReqID, fut, st)
+	go c.respond(h.ReqID, fut)
 }
 
 // admit runs one submission's admission under admitMu, from the draining
@@ -453,30 +447,30 @@ func (c *srvConn) handleSubmit(h Header, p []byte) {
 // admission either before its inflight.Wait (and the result is delivered)
 // or after draining is set (and the request is bounced). It returns the
 // admitted future, or the rejection frame to send.
-func (c *srvConn) admit(h Header, p []byte) (Waiter, *feState, outMsg) {
+func (c *srvConn) admit(h Header, p []byte) (Waiter, outMsg) {
 	c.admitMu.Lock()
 	defer c.admitMu.Unlock()
 	st := c.s.state.Load()
 	if st == nil || c.s.draining.Load() {
-		return nil, nil, outMsg{h: Header{Type: FrameResult, Code: CodeDraining, ReqID: h.ReqID}}
+		return nil, outMsg{h: Header{Type: FrameResult, Code: CodeDraining, ReqID: h.ReqID}}
 	}
 	procID, timeout, args, err := ParseSubmit(p, h.Flags)
 	if err != nil {
-		return nil, nil, outMsg{h: Header{Type: FrameResult, Code: CodeBadFrame, ReqID: h.ReqID},
+		return nil, outMsg{h: Header{Type: FrameResult, Code: CodeBadFrame, ReqID: h.ReqID},
 			payload: AppendResultErr(nil, err.Error())}
 	}
 	if int(procID) >= len(st.procs) {
-		return nil, nil, outMsg{h: Header{Type: FrameResult, Code: CodeUnknownProc, ReqID: h.ReqID},
+		return nil, outMsg{h: Header{Type: FrameResult, Code: CodeUnknownProc, ReqID: h.ReqID},
 			payload: AppendResultErr(nil, fmt.Sprintf("proc id %d outside table of %d", procID, len(st.procs)))}
 	}
 	if st.be.Brownout() {
 		// Health watchdog brownout: shed at the wire before the frontend
 		// sees the request. Backpressure (not a terminal Result) so the
 		// client's pacing/retry machinery handles it like a full queue.
-		return nil, nil, backpressure(h.ReqID, st)
+		return nil, backpressure(h.ReqID)
 	}
 	if int(c.inflightN.Load()) >= c.s.cfg.Window {
-		return nil, nil, backpressure(h.ReqID, st)
+		return nil, backpressure(h.ReqID)
 	}
 	name := st.procs[procID]
 	mode := ModeNormal
@@ -500,24 +494,22 @@ func (c *srvConn) admit(h Header, p []byte) (Waiter, *feState, outMsg) {
 		// client retries. This is the admission-control path that keeps a
 		// saturated Frontend from either blocking the reader (head-of-line
 		// stalling every pipelined request) or dropping the connection.
-		return nil, nil, backpressure(h.ReqID, st)
+		return nil, backpressure(h.ReqID)
 	}
 	_ = ok // !ok with a non-nil future carries a terminal error; respond normally
 	c.inflightN.Add(1)
 	c.inflight.Add(1)
-	return fut, st, outMsg{}
+	return fut, outMsg{}
 }
 
-// backpressure builds the Backpressure frame answering reqID.
-func backpressure(reqID uint64, st *feState) outMsg {
-	return outMsg{
-		h:       Header{Type: FrameBackpressure, Code: CodeBackpressure, ReqID: reqID},
-		payload: AppendBackpressure(nil, uint32(st.be.QueueDepth()), uint32(st.be.QueueCap())),
-	}
+// backpressure builds the Backpressure frame answering reqID. Its payload
+// is empty: the header's code and request id say everything.
+func backpressure(reqID uint64) outMsg {
+	return outMsg{h: Header{Type: FrameBackpressure, Code: CodeBackpressure, ReqID: reqID}}
 }
 
 // respond waits one future out and sends its Result frame.
-func (c *srvConn) respond(reqID uint64, fut Waiter, st *feState) {
+func (c *srvConn) respond(reqID uint64, fut Waiter) {
 	defer c.inflight.Done()
 	defer c.inflightN.Add(-1)
 	ts, err := fut.Wait()
@@ -527,7 +519,7 @@ func (c *srvConn) respond(reqID uint64, fut Waiter, st *feState) {
 		// a router's open circuit breaker). The guarantee is identical to a
 		// full queue — never executed — so surface the same Backpressure
 		// frame and let the client's retry/backoff machinery handle it.
-		c.send(backpressure(reqID, st))
+		c.send(backpressure(reqID))
 		return
 	}
 	h := Header{Type: FrameResult, Code: code, ReqID: reqID}

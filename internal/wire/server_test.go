@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/binary"
 	"net"
 	"testing"
 	"time"
@@ -165,8 +164,8 @@ func TestServerBackpressure(t *testing.T) {
 			}
 			oks++
 		case FrameBackpressure:
-			if len(p) != 8 || binary.LittleEndian.Uint32(p[4:]) == 0 {
-				t.Fatalf("backpressure payload %x: want depth and a non-zero capacity", p)
+			if len(p) != 0 || h.Code != CodeBackpressure {
+				t.Fatalf("backpressure frame code %s payload %x: want CodeBackpressure and no payload", CodeName(h.Code), p)
 			}
 			bps++
 		default:

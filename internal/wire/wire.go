@@ -385,13 +385,6 @@ func ParseResult(code uint16, p []byte) (ts uint64, msg string, err error) {
 	return 0, string(p[2 : 2+l]), nil
 }
 
-// AppendBackpressure appends a Backpressure payload: the admission queue's
-// depth and capacity at rejection time, so clients can pace adaptively.
-func AppendBackpressure(buf []byte, depth, capacity uint32) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, depth)
-	return binary.LittleEndian.AppendUint32(buf, capacity)
-}
-
 // StatusError is the client-side rendering of a non-OK Result. It unwraps
 // to the engine sentinel matching its code, so errors.Is classification
 // (ErrCrashed vs ErrAborted vs rejected-before-execution) works across the

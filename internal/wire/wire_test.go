@@ -139,14 +139,6 @@ func TestResultCodec(t *testing.T) {
 	}
 }
 
-func TestBackpressureCodec(t *testing.T) {
-	// Little-endian depth, then capacity (docs/PROTOCOL.md).
-	want := []byte{15, 0, 0, 0, 16, 0, 0, 0}
-	if got := AppendBackpressure(nil, 15, 16); !bytes.Equal(got, want) {
-		t.Fatalf("payload = %x, want %x", got, want)
-	}
-}
-
 func TestReadFrameLimits(t *testing.T) {
 	// Oversized length prefix is rejected before any allocation.
 	h := Header{Type: FrameSubmit, Len: MaxPayload + 1}

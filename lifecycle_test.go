@@ -403,6 +403,62 @@ func TestRestartCheckpointKeepsDeletedSeedRow(t *testing.T) {
 	}
 }
 
+// TestRestartRejectsBitFlippedCheckpointShard: one flipped bit in a
+// checkpoint shard fails Restart instead of restoring a wrong row. The bit
+// is the low bit of the shard's last byte, inside the last row's last
+// value, so the row still decodes: only the shard's frame checksum can
+// tell.
+func TestRestartRejectsBitFlippedCheckpointShard(t *testing.T) {
+	const accounts = 20
+	bp := bankBlueprint(accounts)
+	db, err := Launch(bp, Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	depositAll(t, db, 40, accounts)
+	time.Sleep(3 * time.Millisecond) // let the epoch clock pass the commits
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	db.Crash()
+
+	flipped := ""
+	for _, dev := range db.Devices() {
+		for _, name := range dev.List("ckpt-") {
+			if flipped != "" || strings.HasSuffix(name, "manifest") {
+				continue
+			}
+			r, err := dev.Open(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := r.ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(data) == 0 {
+				continue
+			}
+			data[len(data)-1] ^= 0x01
+			w := dev.Create(name)
+			if _, err := w.Write(data); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			flipped = name
+		}
+	}
+	if flipped == "" {
+		t.Fatal("test setup: the checkpoint wrote no non-empty shard")
+	}
+	if db2, _, err := Restart(db.Devices(), bp, RecoverConfig{Threads: 2}); err == nil {
+		db2.Close()
+		t.Fatalf("Restart restored a checkpoint whose shard %s has a flipped bit", flipped)
+	}
+}
+
 // tornPLImage logs n deposits on each side of a checkpoint under physical
 // logging on two devices, crashes the instance with commits in flight, and
 // tears the newest batch file of every device as a partially persisted
