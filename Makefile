@@ -6,7 +6,7 @@ GO ?= go
 # over 8 sessions, crash resolution); internal/frontend has the pool-level
 # drain/backpressure/ordering tests; torture/simdisk/checkpoint carry the
 # crash-injection subsystem and its fault plane.
-RACE_PKGS := . ./client/... ./internal/wire/... ./internal/frontend/... ./internal/recovery/... ./internal/sched/... ./internal/wal/... ./internal/txn/... ./internal/mvcc/... ./internal/engine/... ./internal/torture/... ./internal/simdisk/... ./internal/checkpoint/... ./internal/shard/... ./internal/health/... ./internal/harness/... ./cmd/pacman-router/...
+RACE_PKGS := . ./client/... ./internal/wire/... ./internal/frontend/... ./internal/recovery/... ./internal/sched/... ./internal/wal/... ./internal/txn/... ./internal/mvcc/... ./internal/engine/... ./internal/torture/... ./internal/simdisk/... ./internal/checkpoint/... ./internal/shard/... ./internal/health/... ./internal/harness/... ./cmd/pacman-router/... ./internal/index/... ./internal/metrics/... ./internal/proc/...
 
 .PHONY: check fmt vet build test race torture smoke bench bench-mod bench-all docs fuzz
 
@@ -51,8 +51,8 @@ torture:
 # epochs, MVCC GC counters, emitting BENCH_mixed.json), and the
 # gray-failure experiment (deadline-bounded traffic vs slow/hung devices,
 # watchdog detection, gray torture oracle, emitting BENCH_gray.json), and
-# the core-scaling matrix (per-core submission queues / sharded release /
-# striped encode: tps + steals over a reduced 1/2/4-worker x 1/2-device
+# the core-scaling matrix (per-core submission queues, one logger per
+# device: tps + steals over a reduced 1/2/4-worker x 1/2-device
 # matrix, emitting BENCH_scaling.json). Machine-readable
 # BENCH_<experiment>.json results land in bench-results/; the
 # TestBenchArtifactsPresent drift check runs right after and fails when

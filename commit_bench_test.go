@@ -67,7 +67,7 @@ func benchCommitLogged(b *testing.B, kind wal.Kind, wk workload.Workload) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx := txs[i%len(txs)]
-		if _, err := w.Execute(tx.Proc, tx.Args, false, time.Time{}); err != nil {
+		if _, err := w.Execute(tx.Proc, tx.Args, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,6 @@ package pacman
 
 import (
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -55,10 +54,6 @@ func TestDBHealthSnapshot(t *testing.T) {
 // with ErrBrownout, the fault lifting clears the state, and admission
 // resumes.
 func TestDBBrownoutEndToEnd(t *testing.T) {
-	var (
-		trMu        sync.Mutex
-		transitions []string
-	)
 	d, _ := openBank(Options{
 		Logging:       CommandLogging,
 		EpochInterval: time.Millisecond,
@@ -67,11 +62,6 @@ func TestDBBrownoutEndToEnd(t *testing.T) {
 			SyncLatencyBudget: 10 * time.Millisecond,
 			// Loose liveness budgets: only sync latency should trip here.
 			EpochStallBudget: time.Second, PepochStallBudget: 2 * time.Second, QueueStallBudget: 2 * time.Second,
-			OnTransition: func(from, to, cause string) {
-				trMu.Lock()
-				transitions = append(transitions, from+"->"+to)
-				trMu.Unlock()
-			},
 			Logf: t.Logf,
 		},
 	})
@@ -109,11 +99,13 @@ func TestDBBrownoutEndToEnd(t *testing.T) {
 	if _, err := fe.Submit("Deposit", depositArgs(1, 1)).Wait(); err != nil {
 		t.Fatalf("post-recovery deposit: %v", err)
 	}
-	trMu.Lock()
-	trs := append([]string(nil), transitions...)
-	trMu.Unlock()
-	if len(trs) < 2 || d.Health().Brownouts < 1 {
-		t.Fatalf("transitions %v, brownouts %d: want at least one full trip/clear", trs, d.Health().Brownouts)
+	snap := d.Health()
+	var trs []string
+	for _, tr := range snap.Transitions {
+		trs = append(trs, tr.From+"->"+tr.To)
+	}
+	if len(trs) < 2 || snap.Brownouts < 1 {
+		t.Fatalf("transitions %v, brownouts %d: want at least one full trip/clear", trs, snap.Brownouts)
 	}
 }
 

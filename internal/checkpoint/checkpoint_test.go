@@ -95,7 +95,7 @@ func TestSnapshotConsistency(t *testing.T) {
 	// Commit one deposit in epoch 2 (after the snapshot).
 	m.AdvanceEpoch()
 	if _, err := w.Execute(b.Deposit,
-		proc.Args{proc.A(tuple.I(1)), proc.A(tuple.I(1000)), proc.A(tuple.I(1))}, false, time.Now()); err != nil {
+		proc.Args{proc.A(tuple.I(1)), proc.A(tuple.I(1000)), proc.A(tuple.I(1))}, false); err != nil {
 		t.Fatal(err)
 	}
 	dd := devs(1)

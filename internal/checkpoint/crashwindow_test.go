@@ -3,7 +3,6 @@ package checkpoint
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"pacman/internal/engine"
 	"pacman/internal/frame"
@@ -19,7 +18,7 @@ func execDeposit(t *testing.T, b *workload.Bank, m *txn.Manager, acct int64) {
 	t.Helper()
 	w := m.NewWorker()
 	if _, err := w.Execute(b.Deposit,
-		proc.Args{proc.A(tuple.I(acct)), proc.A(tuple.I(1)), proc.A(tuple.I(1))}, false, time.Now()); err != nil {
+		proc.Args{proc.A(tuple.I(acct)), proc.A(tuple.I(1)), proc.A(tuple.I(1))}, false); err != nil {
 		t.Fatal(err)
 	}
 	w.Retire()

@@ -11,11 +11,10 @@ import (
 
 // FigScaling is the core-scaling matrix of the commit pipeline: committed
 // throughput as the frontend worker pool grows from 1 toward NumCPU (per-core
-// submission queues with work stealing), and as the device count grows
-// (striped batch encoding, sharded release scanning). It is the proof
-// obligation for the per-core pipeline refactor — before it, every
-// submission funneled through one bounded queue and every release through
-// one scan, so adding cores moved the bottleneck instead of removing it.
+// submission queues with work stealing), and as the device count grows (one
+// logger goroutine per device, each encoding and syncing its own batches;
+// one pepoch goroutine releases every logger's commits in one pass). It
+// measures the whole pipeline, not any one stage of it.
 //
 // Rows are key=value series (like FigThroughput) so BENCH_scaling.json
 // carries a machine-readable matrix. The speedup column is relative to the

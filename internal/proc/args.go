@@ -23,13 +23,19 @@ func AppendArgs(buf []byte, args Args) []byte {
 	return buf
 }
 
-// DecodeArgs decodes one Args from b, returning the bytes consumed.
+// DecodeArgs decodes one Args from b, returning the bytes consumed. The
+// counts come from untrusted bytes, so each is checked against what the
+// bytes left can hold (2 per parameter, 1 per value) before anything is
+// allocated for it.
 func DecodeArgs(b []byte) (Args, int, error) {
 	if len(b) < 2 {
 		return nil, 0, tuple.ErrCorrupt
 	}
 	np := int(binary.LittleEndian.Uint16(b))
 	off := 2
+	if np > len(b[off:])/2 {
+		return nil, 0, tuple.ErrCorrupt
+	}
 	args := make(Args, np)
 	for p := 0; p < np; p++ {
 		if len(b[off:]) < 2 {
@@ -37,6 +43,9 @@ func DecodeArgs(b []byte) (Args, int, error) {
 		}
 		nv := int(binary.LittleEndian.Uint16(b[off:]))
 		off += 2
+		if nv > len(b[off:]) {
+			return nil, 0, tuple.ErrCorrupt
+		}
 		lst := make([]tuple.Value, nv)
 		for i := 0; i < nv; i++ {
 			v, n, err := tuple.DecodeValue(b[off:])

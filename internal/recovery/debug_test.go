@@ -33,7 +33,7 @@ func TestDebugSmallbankBisect(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		tx := live.Generate(rng)
 		adhoc := rng.Intn(100) < 20 && !tx.ReadOnly
-		if _, err := w.Execute(tx.Proc, tx.Args, adhoc, time.Now()); err != nil {
+		if _, err := w.Execute(tx.Proc, tx.Args, adhoc); err != nil {
 			if tx.MayAbort && errors.Is(err, proc.ErrAborted) {
 				continue
 			}

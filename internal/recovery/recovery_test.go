@@ -2,7 +2,6 @@ package recovery
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -21,12 +20,27 @@ import (
 // fixture is a complete logging run: live database, devices holding logs
 // (and optionally a checkpoint), plus release tracking.
 type fixture struct {
-	bank     *workload.Bank
-	mgr      *txn.Manager
-	devices  []*simdisk.Device
-	logset   *wal.LogSet
-	released []engine.TS
-	relMu    sync.Mutex
+	bank    *workload.Bank
+	mgr     *txn.Manager
+	devices []*simdisk.Device
+	logset  *wal.LogSet
+	futures []*txn.Future
+}
+
+// released returns the commit timestamps of the fixture's transactions
+// whose futures resolved durable so far.
+func (f *fixture) released() []engine.TS {
+	var out []engine.TS
+	for _, fu := range f.futures {
+		select {
+		case <-fu.Done():
+			if ts, err := fu.Wait(); err == nil {
+				out = append(out, ts)
+			}
+		default:
+		}
+	}
+	return out
 }
 
 // buildGDG constructs the bank GDG for a fresh bank instance.
@@ -51,13 +65,6 @@ func runFixture(t testing.TB, kind wal.Kind, n int, adhocPct int, cleanShutdown,
 	cfg := wal.Config{Kind: kind, BatchEpochs: 100, FlushInterval: time.Millisecond, Sync: true}
 	cfg.BatchEpochs = 3
 	cfg.FlushInterval = 100 * time.Microsecond
-	cfg.OnRelease = func(cs []*txn.Committed) {
-		f.relMu.Lock()
-		for _, c := range cs {
-			f.released = append(f.released, c.TS)
-		}
-		f.relMu.Unlock()
-	}
 	f.logset = wal.NewLogSet(f.mgr, cfg, f.devices)
 	w := f.mgr.NewWorker()
 	f.logset.AttachWorker(w)
@@ -65,10 +72,15 @@ func runFixture(t testing.TB, kind wal.Kind, n int, adhocPct int, cleanShutdown,
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
 		tx := f.bank.Generate(rng)
-		adhoc := rng.Intn(100) < adhocPct
-		if _, err := w.Execute(tx.Proc, tx.Args, adhoc, time.Now()); err != nil {
+		mode := txn.Command
+		if rng.Intn(100) < adhocPct {
+			mode = txn.AdHoc
+		}
+		fu := txn.NewFuture(time.Now())
+		if _, err := w.ExecuteFuture(fu, tx.Proc, tx.Args, mode); err != nil {
 			t.Fatal(err)
 		}
+		f.futures = append(f.futures, fu)
 		if i%11 == 10 {
 			f.mgr.AdvanceEpoch()
 			w.Heartbeat()
@@ -189,9 +201,7 @@ func TestTornCrashDurabilityInvariant(t *testing.T) {
 	for _, d := range f.devices {
 		d.Crash()
 	}
-	f.relMu.Lock()
-	released := append([]engine.TS(nil), f.released...)
-	f.relMu.Unlock()
+	released := f.released()
 
 	gotCLR, resCLR := recoverInto(t, f, CLR, 1, nil)
 	gotP, resP := recoverInto(t, f, CLRP, 4, nil)
@@ -397,10 +407,10 @@ func logExtraTable(t *testing.T, kind wal.Kind, adhoc bool) []*simdisk.Device {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 20; i++ {
 		tx := b.Generate(rng)
-		if _, err := w.Execute(tx.Proc, tx.Args, false, time.Now()); err != nil {
+		if _, err := w.Execute(tx.Proc, tx.Args, false); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.Execute(touch, proc.Args{proc.A(tuple.I(1))}, adhoc, time.Now()); err != nil {
+		if _, err := w.Execute(touch, proc.Args{proc.A(tuple.I(1))}, adhoc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -467,9 +477,7 @@ func TestRandomCrashPointsProperty(t *testing.T) {
 		}
 		sameState(t, snapshotState(gotA.DB()), snapshotState(gotB.DB()), "trial")
 
-		f.relMu.Lock()
-		released := len(f.released)
-		f.relMu.Unlock()
+		released := len(f.released())
 		if released > resA.Entries {
 			t.Fatalf("trial %d: %d released but only %d recovered", trial, released, resA.Entries)
 		}

@@ -50,7 +50,7 @@ func TestSmallbankRecoveryEquivalence(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		tx := live.Generate(rng)
 		adhoc := rng.Intn(100) < 20 && !tx.ReadOnly
-		if _, err := w.Execute(tx.Proc, tx.Args, adhoc, time.Now()); err != nil {
+		if _, err := w.Execute(tx.Proc, tx.Args, adhoc); err != nil {
 			if tx.MayAbort && errors.Is(err, proc.ErrAborted) {
 				continue
 			}
@@ -117,7 +117,7 @@ func TestTPCCRecoveryEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 1500; i++ {
 		tx := live.Generate(rng)
-		if _, err := w.Execute(tx.Proc, tx.Args, false, time.Now()); err != nil {
+		if _, err := w.Execute(tx.Proc, tx.Args, false); err != nil {
 			if tx.MayAbort && errors.Is(err, proc.ErrAborted) {
 				continue
 			}
@@ -188,7 +188,7 @@ func TestTPCCAllTupleSchemes(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < 800; i++ {
 			tx := live.Generate(rng)
-			if _, err := w.Execute(tx.Proc, tx.Args, false, time.Now()); err != nil {
+			if _, err := w.Execute(tx.Proc, tx.Args, false); err != nil {
 				if tx.MayAbort && errors.Is(err, proc.ErrAborted) {
 					continue
 				}

@@ -33,7 +33,7 @@ func tpccEntries(tb testing.TB, n int) (workload.TPCCConfig, []*wal.Entry) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < n; i++ {
 		tx := live.Generate(rng)
-		if _, err := w.Execute(tx.Proc, tx.Args, false, time.Now()); err != nil {
+		if _, err := w.Execute(tx.Proc, tx.Args, false); err != nil {
 			if tx.MayAbort && errors.Is(err, proc.ErrAborted) {
 				continue
 			}

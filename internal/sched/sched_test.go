@@ -37,7 +37,7 @@ func runBankWorkload(t testing.TB, accounts, n int, seed int64) (*workload.Bank,
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
 		tx := b.Generate(rng)
-		if _, err := w.Execute(tx.Proc, tx.Args, tx.AdHoc, time.Now()); err != nil {
+		if _, err := w.Execute(tx.Proc, tx.Args, tx.AdHoc); err != nil {
 			t.Fatal(err)
 		}
 		if i%7 == 6 {
@@ -247,7 +247,7 @@ func TestReplayWithAdHoc(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		tx := b.Generate(rng)
 		adhoc := rng.Intn(100) < 30 // 30% ad-hoc
-		if _, err := w.Execute(tx.Proc, tx.Args, adhoc, time.Now()); err != nil {
+		if _, err := w.Execute(tx.Proc, tx.Args, adhoc); err != nil {
 			t.Fatal(err)
 		}
 		if i%9 == 8 {
@@ -317,7 +317,7 @@ func TestReplayOpaquePieces(t *testing.T) {
 			proc.A(tuple.I(int64(1 + rng.Intn(10)))),
 			proc.A(tuple.I(int64(rng.Intn(5)))),
 		}
-		ts, err := w.Execute(chase, args, false, time.Now())
+		ts, err := w.Execute(chase, args, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -77,12 +77,17 @@ func AppendTuple(buf []byte, t Tuple) []byte {
 }
 
 // DecodeTuple decodes one tuple from b, returning it and the bytes consumed.
+// A column count larger than the bytes left (every value takes at least
+// one) fails before the tuple is allocated.
 func DecodeTuple(b []byte) (Tuple, int, error) {
 	if len(b) < 2 {
 		return nil, 0, ErrCorrupt
 	}
 	n := int(binary.LittleEndian.Uint16(b))
 	off := 2
+	if n > len(b[off:]) {
+		return nil, 0, ErrCorrupt
+	}
 	t := make(Tuple, 0, n)
 	for i := 0; i < n; i++ {
 		v, sz, err := DecodeValue(b[off:])

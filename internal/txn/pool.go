@@ -4,9 +4,9 @@ import "sync"
 
 // Commit-record recycling. A Committed is allocated (or reused) by the
 // worker at commit, handed to a logger by Drain/DrainInto, held in the
-// logger's pending set until its epoch is covered by the persistent epoch,
+// log set's pending set until its epoch is covered by the persistent epoch,
 // and finally released: its future is resolved and the record has no
-// remaining observer. At that point — and only then — the wal release path
+// remaining owner. At that point — and only then — the wal release path
 // returns it here so the next commit on any worker reuses it, Writes
 // backing array included. This keeps the execute→commit→encode→release
 // pipeline allocation-free in steady state.
@@ -20,7 +20,7 @@ import "sync"
 //     invariant by dropping (not pooling) any record whose future is still
 //     pending.
 //   - A recycled record must not be reachable from anywhere: callers clear
-//     their own containers (the logger's pending set and the worker's
+//     their own containers (the log set's pending set and the worker's
 //     buffer compact in place and clear vacated slots for this reason).
 
 var committedPool = sync.Pool{New: func() any { return new(Committed) }}
@@ -33,9 +33,7 @@ func newCommitted() *Committed {
 }
 
 // RecycleCommitted returns fully released commit records to the pool. It is
-// called by the wal release path after futures are resolved and, when an
-// OnRelease observer is configured, only when that observer is absent (an
-// observer may retain the records, so ownership passes to it instead).
+// called by the wal release path after futures are resolved.
 //
 // A record whose Future has not resolved is never pooled: it is skipped and
 // left to the garbage collector, so a pipeline bug can at worst leak, never

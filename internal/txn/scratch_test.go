@@ -99,7 +99,7 @@ func TestScratchRecycledRaced(t *testing.T) {
 			for i := 0; i < per; i++ {
 				_, err := w.Execute(b.Deposit,
 					proc.Args{proc.A(tuple.I(1)), proc.A(tuple.I(1)), proc.A(tuple.I(1))},
-					false, time.Now())
+					false)
 				if err != nil {
 					t.Error(err)
 					return

@@ -85,13 +85,6 @@ type Committed struct {
 	// Writes is the transaction's write set in commit order (logical and
 	// physical logging; also used for ad-hoc replay under command logging).
 	Writes []WriteRec
-	// Start is when the client submitted the transaction; the harness uses
-	// it for end-to-end (post-fsync) latency.
-	Start time.Time
-	// WID is the ID of the worker that committed this transaction. The wal
-	// release path shards its flushed-but-unreleased sets by it, so one
-	// worker's records always land on one shard in commit order.
-	WID int
 	// Future, when non-nil, is the durable-commit handle the durability
 	// pipeline resolves once this transaction's epoch is group-commit
 	// released (or fails on crash/close).
@@ -323,8 +316,8 @@ func (w *Worker) FailDurability(err error) {
 // returns the commit timestamp. The committed record (if logging needs it)
 // is buffered for the loggers. adHoc marks the transaction as not
 // command-loggable.
-func (w *Worker) Execute(p *proc.Compiled, args proc.Args, adHoc bool, start time.Time) (engine.TS, error) {
-	return w.execute(nil, p, args, adHoc, false, start)
+func (w *Worker) Execute(p *proc.Compiled, args proc.Args, adHoc bool) (engine.TS, error) {
+	return w.execute(nil, p, args, adHoc, false)
 }
 
 // Mode picks the log record a transaction's commit produces under command
@@ -349,10 +342,10 @@ const (
 // durability is not deferred to a logging pipeline (or the transaction is
 // read-only), and otherwise when the pipeline releases the commit's epoch.
 func (w *Worker) ExecuteFuture(f *Future, p *proc.Compiled, args proc.Args, mode Mode) (engine.TS, error) {
-	return w.execute(f, p, args, mode == AdHoc, mode == Dist, f.Start())
+	return w.execute(f, p, args, mode == AdHoc, mode == Dist)
 }
 
-func (w *Worker) execute(f *Future, p *proc.Compiled, args proc.Args, adHoc, dist bool, start time.Time) (engine.TS, error) {
+func (w *Worker) execute(f *Future, p *proc.Compiled, args proc.Args, adHoc, dist bool) (engine.TS, error) {
 	fail := func(err error) (engine.TS, error) {
 		if f != nil {
 			f.Resolve(time.Now(), err)
@@ -385,13 +378,11 @@ func (w *Worker) execute(f *Future, p *proc.Compiled, args proc.Args, adHoc, dis
 					c := newCommitted()
 					c.TS = ts
 					c.Epoch = engine.EpochOf(ts)
-					c.WID = w.id
 					c.Proc = p
 					c.Args = args
 					c.AdHoc = adHoc
 					c.Dist = dist
 					c.Writes = t.appendWriteRecs(c.Writes)
-					c.Start = start
 					w.bufMu.Lock()
 					durErr = w.failErr
 					if f != nil && w.deferred && durErr == nil {

@@ -37,7 +37,7 @@ func TestExecuteCommit(t *testing.T) {
 	b, m := setupBank(t, 10)
 	w := m.NewWorker()
 	// Transfer 100 from account 1 (spouse 2).
-	ts, err := w.Execute(b.Transfer, proc.Args{proc.A(tuple.I(1)), proc.A(tuple.I(100))}, false, time.Now())
+	ts, err := w.Execute(b.Transfer, proc.Args{proc.A(tuple.I(1)), proc.A(tuple.I(100))}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +72,11 @@ func TestExecuteCommit(t *testing.T) {
 func TestDrainEpochBoundary(t *testing.T) {
 	b, m := setupBank(t, 10)
 	w := m.NewWorker()
-	if _, err := w.Execute(b.Deposit, proc.Args{proc.A(tuple.I(1)), proc.A(tuple.I(5)), proc.A(tuple.I(1))}, false, time.Now()); err != nil {
+	if _, err := w.Execute(b.Deposit, proc.Args{proc.A(tuple.I(1)), proc.A(tuple.I(5)), proc.A(tuple.I(1))}, false); err != nil {
 		t.Fatal(err)
 	}
 	m.AdvanceEpoch() // now epoch 2
-	if _, err := w.Execute(b.Deposit, proc.Args{proc.A(tuple.I(2)), proc.A(tuple.I(5)), proc.A(tuple.I(1))}, false, time.Now()); err != nil {
+	if _, err := w.Execute(b.Deposit, proc.Args{proc.A(tuple.I(2)), proc.A(tuple.I(5)), proc.A(tuple.I(1))}, false); err != nil {
 		t.Fatal(err)
 	}
 	got := w.Drain(1)
@@ -129,7 +129,7 @@ func TestAbortedTransactionLeavesNoTrace(t *testing.T) {
 	}
 	w := m.NewWorker()
 	before := balance(t, b.DB().Table("Current"), 3)
-	_, err = w.Execute(c, proc.Args{proc.A(tuple.I(3))}, false, time.Now())
+	_, err = w.Execute(c, proc.Args{proc.A(tuple.I(3))}, false)
 	if !errors.Is(err, proc.ErrAborted) {
 		t.Fatalf("err = %v", err)
 	}
@@ -159,12 +159,12 @@ func TestInsertDuplicateAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := m.NewWorker()
-	if _, err := w.Execute(c, proc.Args{proc.A(tuple.I(500))}, false, time.Now()); err != nil {
+	if _, err := w.Execute(c, proc.Args{proc.A(tuple.I(500))}, false); err != nil {
 		t.Fatal(err)
 	}
 	// A duplicate insert is retried like a conflict (it may be a stale-read
 	// artifact) and surfaces as retry exhaustion when persistent.
-	if _, err := w.Execute(c, proc.Args{proc.A(tuple.I(500))}, false, time.Now()); !errors.Is(err, ErrConflict) {
+	if _, err := w.Execute(c, proc.Args{proc.A(tuple.I(500))}, false); !errors.Is(err, ErrConflict) {
 		t.Fatalf("duplicate insert err = %v", err)
 	}
 }
@@ -184,7 +184,7 @@ func TestConflictRetriesYieldToLatchHolder(t *testing.T) {
 	fam, _ := b.DB().Table("Family").GetRow(1)
 	fam.Lock()
 	go fam.Unlock()
-	if _, err := w.Execute(b.Transfer, proc.Args{proc.A(tuple.I(1)), proc.A(tuple.I(5))}, false, time.Now()); err != nil {
+	if _, err := w.Execute(b.Transfer, proc.Args{proc.A(tuple.I(1)), proc.A(tuple.I(5))}, false); err != nil {
 		t.Fatalf("transfer behind a runnable latch holder: %v", err)
 	}
 }
@@ -207,7 +207,7 @@ func TestTimestampsOrderConflicts(t *testing.T) {
 				amount := int64(rng.Intn(10))
 				ts, err := w.Execute(b.Deposit,
 					proc.Args{proc.A(tuple.I(1)), proc.A(tuple.I(amount)), proc.A(tuple.I(1))},
-					false, time.Now())
+					false)
 				if err != nil {
 					t.Errorf("worker %d: %v", wi, err)
 					return
@@ -268,7 +268,7 @@ func TestSerializability(t *testing.T) {
 				src := int64(1 + rng.Intn(20))
 				amt := int64(rng.Intn(50))
 				if _, err := w.Execute(b.Transfer,
-					proc.Args{proc.A(tuple.I(src)), proc.A(tuple.I(amt))}, false, time.Now()); err != nil {
+					proc.Args{proc.A(tuple.I(src)), proc.A(tuple.I(amt))}, false); err != nil {
 					t.Errorf("transfer: %v", err)
 					return
 				}
@@ -327,7 +327,7 @@ func TestReadYourOwnWrites(t *testing.T) {
 	}
 	w := m.NewWorker()
 	before := balance(t, b.DB().Table("Current"), 1)
-	if _, err := w.Execute(c, proc.Args{proc.A(tuple.I(1))}, false, time.Now()); err != nil {
+	if _, err := w.Execute(c, proc.Args{proc.A(tuple.I(1))}, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := balance(t, b.DB().Table("Current"), 1); got != before+10 {
@@ -355,7 +355,7 @@ func TestDeleteAndReinsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := m.NewWorker()
-	if _, err := w.Execute(c, proc.Args{proc.A(tuple.I(1))}, false, time.Now()); err != nil {
+	if _, err := w.Execute(c, proc.Args{proc.A(tuple.I(1))}, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := balance(t, b.DB().Table("Stats"), 1); got != 42 {
@@ -367,7 +367,7 @@ func TestAdHocFlagPropagates(t *testing.T) {
 	b, m := setupBank(t, 4)
 	w := m.NewWorker()
 	if _, err := w.Execute(b.Deposit,
-		proc.Args{proc.A(tuple.I(1)), proc.A(tuple.I(5)), proc.A(tuple.I(1))}, true, time.Now()); err != nil {
+		proc.Args{proc.A(tuple.I(1)), proc.A(tuple.I(5)), proc.A(tuple.I(1))}, true); err != nil {
 		t.Fatal(err)
 	}
 	recs := w.Drain(^uint32(0) >> 1)

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -51,13 +50,6 @@ type Config struct {
 	// below what recovery reported and post-restart group commit releases
 	// only on epochs this incarnation actually flushed.
 	ResumeEpoch uint32
-	// OnRelease, if set, is called with transactions whose results become
-	// releasable: their epoch is covered by the persistent epoch. The
-	// harness measures end-to-end latency here. The observer owns the
-	// slice and the records it receives (they are never recycled into the
-	// commit-record pool while an observer is configured), so it may
-	// retain both past the call.
-	OnRelease func([]*txn.Committed)
 	// OnPepochAdvance, if set, is called from the pepoch thread each time
 	// the persistent epoch advances, with the new value. The multi-version
 	// garbage collector keys off it: versions strictly older than the
@@ -65,18 +57,6 @@ type Config struct {
 	// snapshot views pinned at released epochs. The callback runs on the
 	// pepoch goroutine and must not block.
 	OnPepochAdvance func(pe uint32)
-	// ReleaseShards is the number of release shards the flushed-but-
-	// unreleased sets are partitioned over (by committing worker ID). Each
-	// pepoch pass drains the shards in parallel, so resolving futures and
-	// recycling records no longer funnels through the pepoch goroutine
-	// alone. Default max(2, GOMAXPROCS), capped at 8.
-	ReleaseShards int
-	// EncodeStripes is the size of the shared encode pool loggers stripe
-	// large batch encodes across (a flush splits its sorted batch range
-	// into contiguous stripes encoded concurrently, then written in order —
-	// byte-identical to the serial encode). Values <= 1 disable striping;
-	// small flushes always encode inline. Default GOMAXPROCS, capped at 8.
-	EncodeStripes int
 }
 
 // BatchFileName names the batch file of a logger.
@@ -102,84 +82,19 @@ type LogSet struct {
 	// scan recovery pays on it.
 	peAppends int
 
-	// Release sharding: flushed-but-unreleased records are partitioned by
-	// committing worker ID over relShards; each pepoch pass publishes
-	// (relPE, relNow) and fans the drain out to the shard goroutines,
-	// waiting for all of them (one pass = one release timestamp). After
-	// shutdown stops the shard goroutines (relStop), relInline routes the
-	// pass through the caller's goroutine instead. obsMu serializes the
-	// OnRelease observer across shards — the callback contract predates
-	// sharding and observers do not expect concurrent calls.
-	relShards   []*relShard
-	relStop     chan struct{}
-	relStopOnce sync.Once
-	relWGrp     sync.WaitGroup
-	relPassWG   sync.WaitGroup
-	relPE       uint32
-	relNow      time.Time
-	// relParallel is true only while the shard goroutines run (between
-	// Start and shutdown's stopReleaseWorkers): outside that window —
-	// including updatePepoch calls on sets never started, as some tests
-	// do — the pass drains inline on the caller. Written before the pepoch
-	// goroutine is spawned and after it is joined, so reads from the pass
-	// owner are ordered without atomics.
-	relParallel bool
-	obsMu       sync.Mutex
-
-	// Encode striping: a shared pool of encode workers loggers submit
-	// contiguous batch stripes to (see Config.EncodeStripes). nil when
-	// striping is disabled or Start was never called; closed by shutdown
-	// after the final flush.
-	encCh       chan encJob
-	encStopOnce sync.Once
+	// pending holds the synced records loggers hand over after each flush,
+	// in flush order per logger, until a release pass covers their epoch.
+	// relBuf is take's reused output buffer: passes are serialized (the
+	// pepoch goroutine while it runs, the shutdown path after it is
+	// joined), and each pass is done with the returned slice before the
+	// next, so one buffer suffices.
+	pendMu  sync.Mutex
+	pending []*txn.Committed
+	relBuf  []*txn.Committed
 
 	stopCh  chan struct{}
 	stopped atomic.Bool
 	wg      sync.WaitGroup
-}
-
-// relShard is one release shard: the flushed-but-unreleased records of the
-// workers whose ID hashes to it, in per-worker commit order.
-type relShard struct {
-	mu      sync.Mutex
-	pending []*txn.Committed
-	// relBuf is take's reused output buffer. Drains of one shard are
-	// serialized (its own goroutine while running, the shutdown path's
-	// inline passes after), and each drain finishes with the returned slice
-	// before the next, so one buffer suffices.
-	relBuf []*txn.Committed
-	signal chan struct{}
-}
-
-// take removes and returns pending records with epoch <= pe, compacting the
-// kept records in place (vacated slots cleared so released records are not
-// pinned).
-func (sh *relShard) take(pe uint32) []*txn.Committed {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	out := sh.relBuf[:0]
-	kept := sh.pending[:0]
-	for _, c := range sh.pending {
-		if c.Epoch <= pe {
-			out = append(out, c)
-		} else {
-			kept = append(kept, c)
-		}
-	}
-	clear(sh.pending[len(kept):])
-	sh.pending = kept
-	sh.relBuf = out
-	return out
-}
-
-// encJob asks the encode pool to frame recs into *out (reset to length 0
-// first); wg.Done signals completion. The out buffer is owned by the
-// submitting logger and reused across flushes.
-type encJob struct {
-	kind Kind
-	recs []*txn.Committed
-	out  *[]byte
-	wg   *sync.WaitGroup
 }
 
 // Logger is one logging thread bound to one device, draining a subset of
@@ -223,14 +138,6 @@ type Logger struct {
 	// ewmaEvidenceWindow).
 	lastSyncAt atomic.Int64
 	syncs      atomic.Uint64
-
-	// stripeBufs are the per-stripe encode buffers a striped flush frames
-	// into (reused across flushes); encWG is the reused completion group
-	// for one flush's stripe jobs; widBuf is shardPut's reused
-	// shard-index cache.
-	stripeBufs [][]byte
-	encWG      sync.WaitGroup
-	widBuf     []int
 }
 
 // NewLogSet builds a logging subsystem with one logger per device. With
@@ -241,12 +148,6 @@ func NewLogSet(mgr *txn.Manager, cfg Config, devices []*simdisk.Device) *LogSet 
 	}
 	if cfg.FlushInterval <= 0 {
 		cfg.FlushInterval = time.Millisecond
-	}
-	if cfg.ReleaseShards <= 0 {
-		cfg.ReleaseShards = max(2, min(8, runtime.GOMAXPROCS(0)))
-	}
-	if cfg.EncodeStripes == 0 {
-		cfg.EncodeStripes = min(8, runtime.GOMAXPROCS(0))
 	}
 	s := &LogSet{mgr: mgr, cfg: cfg, stopCh: make(chan struct{})}
 	if cfg.Kind == Off || len(devices) == 0 {
@@ -259,10 +160,6 @@ func NewLogSet(mgr *txn.Manager, cfg Config, devices []*simdisk.Device) *LogSet 
 		lg := &Logger{id: i, set: s, dev: d}
 		lg.persisted.Store(cfg.ResumeEpoch)
 		s.loggers = append(s.loggers, lg)
-	}
-	s.relStop = make(chan struct{})
-	for i := 0; i < cfg.ReleaseShards; i++ {
-		s.relShards = append(s.relShards, &relShard{signal: make(chan struct{})})
 	}
 	return s
 }
@@ -306,27 +203,6 @@ func (s *LogSet) Start() {
 		}(lg)
 	}
 	if len(s.loggers) > 0 {
-		// Release-shard drains, launched before the pepoch goroutine so
-		// every fanned-out pass has receivers. Lifecycle: shards only exit
-		// via relStop, which shutdown closes strictly after the pepoch
-		// goroutine has stopped (s.wg.Wait) — so a pass can never be
-		// stranded mid-fanout with no receiver.
-		for _, sh := range s.relShards {
-			s.relWGrp.Add(1)
-			go func(sh *relShard) {
-				defer s.relWGrp.Done()
-				for {
-					select {
-					case <-sh.signal:
-						s.drainShard(sh)
-						s.relPassWG.Done()
-					case <-s.relStop:
-						return
-					}
-				}
-			}(sh)
-		}
-		s.relParallel = true
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -341,56 +217,24 @@ func (s *LogSet) Start() {
 				}
 			}
 		}()
-		// The shared encode pool (striped batch encoding). Closed by
-		// shutdown after the final flush; encode workers never block on
-		// anything but the job channel, so loggers' blocking submits always
-		// drain.
-		if s.cfg.EncodeStripes > 1 {
-			s.encCh = make(chan encJob, 2*s.cfg.EncodeStripes)
-			for i := 0; i < s.cfg.EncodeStripes; i++ {
-				go func() {
-					for j := range s.encCh {
-						*j.out = encodeRecords((*j.out)[:0], j.kind, j.recs)
-						j.wg.Done()
-					}
-				}()
-			}
-		}
 	}
 }
 
-// stopReleaseWorkers stops the shard goroutines and flips the release path
-// to inline (shutdown's final passes run on the caller). Must only be
-// called after the pepoch goroutine has stopped.
-func (s *LogSet) stopReleaseWorkers() {
-	if s.relStop == nil {
-		return
+// stop signals the logger and pepoch goroutines and waits for them to
+// exit; once it returns, the caller owns every flush and release pass.
+func (s *LogSet) stop() {
+	if s.stopped.CompareAndSwap(false, true) {
+		close(s.stopCh)
 	}
-	s.relStopOnce.Do(func() { close(s.relStop) })
-	s.relWGrp.Wait()
-	s.relParallel = false
-}
-
-// stopEncodeWorkers shuts the encode pool down. Must only be called once no
-// further flush can run.
-func (s *LogSet) stopEncodeWorkers() {
-	s.encStopOnce.Do(func() {
-		if s.encCh != nil {
-			close(s.encCh)
-		}
-	})
+	s.wg.Wait()
 }
 
 // Close flushes everything outstanding (workers should be retired first so
 // the safe epoch covers all buffered commits) and stops the goroutines.
 func (s *LogSet) Close() {
-	if s.stopped.CompareAndSwap(false, true) {
-		close(s.stopCh)
-	}
-	s.wg.Wait()
-	// With the pepoch goroutine stopped, no pass is in flight: stop the
-	// shard goroutines and run the final flush + release pass inline.
-	s.stopReleaseWorkers()
+	// With the pepoch goroutine stopped, no pass is in flight: run the
+	// final flush and release pass here.
+	s.stop()
 	safe := s.mgr.SafeEpoch()
 	for _, lg := range s.loggers {
 		lg.flush(safe)
@@ -401,24 +245,18 @@ func (s *LogSet) Close() {
 	// epoch never became safe) will not be flushed by anyone: fail their
 	// futures so no caller waits forever.
 	s.failOutstanding(ErrClosed)
-	s.stopEncodeWorkers()
 }
 
 // Abort stops the logger and pepoch goroutines without any final flush —
 // the logging pipeline's half of a simulated power failure. Crash tests
 // call Abort, then Device.Crash, so nothing writes "after" the failure.
 func (s *LogSet) Abort() {
-	if s.stopped.CompareAndSwap(false, true) {
-		close(s.stopCh)
-	}
-	s.wg.Wait()
-	s.stopReleaseWorkers()
+	s.stop()
 	// Every commit the pipeline still owned dies with it: resolve its
 	// future with ErrCrashed so clients observe the lost tail instead of
 	// waiting forever, and fail each worker's durability so transactions
 	// executed after the crash resolve immediately too.
 	s.failOutstanding(ErrCrashed)
-	s.stopEncodeWorkers()
 }
 
 // failOutstanding resolves every future still owned by the logging
@@ -427,7 +265,6 @@ func (s *LogSet) Abort() {
 // have stopped, so no concurrent release can race it; a future that was
 // already released is left untouched (resolve-once).
 func (s *LogSet) failOutstanding(err error) {
-	now := time.Now()
 	for _, lg := range s.loggers {
 		lg.wmu.Lock()
 		workers := append([]*txn.Worker(nil), lg.workers...)
@@ -436,17 +273,7 @@ func (s *LogSet) failOutstanding(err error) {
 			w.FailDurability(err)
 		}
 	}
-	for _, sh := range s.relShards {
-		failed := sh.take(^uint32(0))
-		for _, c := range failed {
-			if c.Future != nil {
-				c.Future.Resolve(now, err)
-			}
-		}
-		if s.cfg.OnRelease == nil {
-			txn.RecycleCommitted(failed)
-		}
-	}
+	s.releasePass(^uint32(0), err)
 }
 
 // PersistedEpoch returns the current persistent epoch (pepoch): every
@@ -510,106 +337,47 @@ func (s *LogSet) updatePepoch() {
 			s.cfg.OnPepochAdvance(pe)
 		}
 	}
-	// Release covered transactions across the shards. The scan runs every
-	// pass, advance or not (see the function comment).
-	s.releasePass(pe)
+	// Release covered transactions. The scan runs every pass, advance or
+	// not (see the function comment).
+	s.releasePass(pe, nil)
 }
 
-// releasePass drains every release shard up to pe: one pass, one release
-// timestamp. While the shard goroutines run, the pass fans out to them and
-// waits (parallel drain, but the pepoch goroutine still owns the pass —
-// the next marker append starts only after every future of this cut is
-// resolved, preserving the old serial scan's epoch-ordered resolution).
-// After shutdown stops the goroutines, the pass runs inline.
-func (s *LogSet) releasePass(pe uint32) {
-	if len(s.relShards) == 0 {
-		return
-	}
-	s.relPE = pe
-	s.relNow = time.Now()
-	if !s.relParallel {
-		for _, sh := range s.relShards {
-			s.drainShard(sh)
-		}
-		return
-	}
-	s.relPassWG.Add(len(s.relShards))
-	for _, sh := range s.relShards {
-		sh.signal <- struct{}{}
-	}
-	s.relPassWG.Wait()
-}
-
-// drainShard resolves and hands off one shard's records covered by the
-// current pass. Resolve each durable-commit future, then surface the same
-// batch to the OnRelease observer (the legacy callback rides the
-// future-release path — both see exactly the transactions whose epochs the
-// pass's pepoch covers). Without an observer the records have no remaining
-// owner and recycle into the commit-record pool; an observer takes
-// ownership instead (it may retain them past the call).
-func (s *LogSet) drainShard(sh *relShard) {
-	released := sh.take(s.relPE)
+// releasePass resolves the futures of every pending record covered by pe
+// with err (nil: durable), all with one timestamp, then recycles the
+// records: a resolved record has no remaining owner.
+func (s *LogSet) releasePass(pe uint32, err error) {
+	released := s.take(pe)
 	if len(released) == 0 {
 		return
 	}
-	now := s.relNow
+	now := time.Now()
 	for _, c := range released {
 		if c.Future != nil {
-			c.Future.Resolve(now, nil)
+			c.Future.Resolve(now, err)
 		}
 	}
-	if s.cfg.OnRelease != nil {
-		// The observer owns what it receives and may retain it, so it gets
-		// its own slice — the shard's release buffer is rewritten on the
-		// next pass. Only this observer-configured (legacy, non-hot) path
-		// pays the copy; obsMu keeps the pre-sharding one-caller-at-a-time
-		// contract.
-		s.obsMu.Lock()
-		s.cfg.OnRelease(append([]*txn.Committed(nil), released...))
-		s.obsMu.Unlock()
-	} else {
-		txn.RecycleCommitted(released)
-	}
+	txn.RecycleCommitted(released)
 }
 
-// shardPut distributes freshly persisted records to their release shards
-// (by committing worker ID, so one worker's records stay on one shard in
-// commit order). Runs on the logger goroutine after a successful sync.
-// Shard indices are cached up front (widBuf): a record handed to a shard
-// is owned by the release path immediately — it can be resolved and
-// recycled while later iterations still run — so no field of it may be
-// read after its append.
-func (lg *Logger) shardPut(recs []*txn.Committed) {
-	shards := lg.set.relShards
-	n := len(shards)
-	if n == 1 {
-		sh := shards[0]
-		sh.mu.Lock()
-		sh.pending = append(sh.pending, recs...)
-		sh.mu.Unlock()
-		return
-	}
-	wid := lg.widBuf[:0]
-	for _, c := range recs {
-		wid = append(wid, c.WID%n)
-	}
-	lg.widBuf = wid
-	for i, sh := range shards {
-		locked := false
-		for k, c := range recs {
-			if wid[k] != i {
-				continue
-			}
-			if !locked {
-				sh.mu.Lock()
-				locked = true
-			}
-			sh.pending = append(sh.pending, c)
-		}
-		if locked {
-			sh.mu.Unlock()
+// take removes and returns pending records with epoch <= pe, compacting the
+// kept records in place (vacated slots cleared so released records are not
+// pinned).
+func (s *LogSet) take(pe uint32) []*txn.Committed {
+	s.pendMu.Lock()
+	defer s.pendMu.Unlock()
+	out := s.relBuf[:0]
+	kept := s.pending[:0]
+	for _, c := range s.pending {
+		if c.Epoch <= pe {
+			out = append(out, c)
+		} else {
+			kept = append(kept, c)
 		}
 	}
+	clear(s.pending[len(kept):])
+	s.pending = kept
+	s.relBuf = out
+	return out
 }
 
 // SyncStats reports one logger device's sync-latency telemetry.
@@ -764,16 +532,12 @@ func (lg *Logger) flush(safeEpoch uint32) {
 			hi++
 		}
 		w := lg.writerFor(b)
-		if lg.set.encCh != nil && hi-lo >= 2*stripeMinRecs {
-			lg.encodeStriped(w, recs[lo:hi])
-		} else {
-			buf := lg.encBuf[:0]
-			for _, c := range recs[lo:hi] {
-				buf = encodeRecord(buf, lg.set.cfg.Kind, c)
-			}
-			lg.encBuf = buf
-			w.Write(buf)
+		buf := lg.encBuf[:0]
+		for _, c := range recs[lo:hi] {
+			buf = encodeRecord(buf, lg.set.cfg.Kind, c)
 		}
+		lg.encBuf = buf
+		w.Write(buf)
 		lo = hi
 	}
 	if lg.set.cfg.Sync && lg.curWriter != nil {
@@ -792,9 +556,7 @@ func (lg *Logger) flush(safeEpoch uint32) {
 					c.Future.Resolve(now, ErrCrashed)
 				}
 			}
-			if lg.set.cfg.OnRelease == nil {
-				txn.RecycleCommitted(recs)
-			}
+			txn.RecycleCommitted(recs)
 			return
 		}
 	}
@@ -802,56 +564,12 @@ func (lg *Logger) flush(safeEpoch uint32) {
 		lg.persisted.Store(safeEpoch)
 	}
 
-	lg.shardPut(recs)
-}
-
-// stripeMinRecs is the smallest stripe worth dispatching to the encode
-// pool; a flush is striped only when it can fill at least two such
-// stripes. Small flushes — the micro-benchmark and low-load regime — stay
-// on the inline allocation-free path.
-const stripeMinRecs = 256
-
-// encodeStriped splits one batch's sorted record range into contiguous
-// stripes, encodes them concurrently on the set's encode pool, and writes
-// the stripe buffers in order — byte-identical to the serial encode, so
-// batch-file contents do not depend on the stripe geometry.
-func (lg *Logger) encodeStriped(w *simdisk.Writer, recs []*txn.Committed) {
-	stripes := len(recs) / stripeMinRecs
-	if mx := lg.set.cfg.EncodeStripes; stripes > mx {
-		stripes = mx
-	}
-	for len(lg.stripeBufs) < stripes {
-		lg.stripeBufs = append(lg.stripeBufs, nil)
-	}
-	per, rem := len(recs)/stripes, len(recs)%stripes
-	lg.encWG.Add(stripes)
-	start := 0
-	for si := 0; si < stripes; si++ {
-		cnt := per
-		if si < rem {
-			cnt++
-		}
-		lg.set.encCh <- encJob{
-			kind: lg.set.cfg.Kind,
-			recs: recs[start : start+cnt],
-			out:  &lg.stripeBufs[si],
-			wg:   &lg.encWG,
-		}
-		start += cnt
-	}
-	lg.encWG.Wait()
-	for si := 0; si < stripes; si++ {
-		w.Write(lg.stripeBufs[si])
-	}
-}
-
-// encodeRecords frames recs into buf in order (the encode pool's unit of
-// work).
-func encodeRecords(buf []byte, kind Kind, recs []*txn.Committed) []byte {
-	for _, c := range recs {
-		buf = encodeRecord(buf, kind, c)
-	}
-	return buf
+	// The records now belong to the release path: a pass may resolve and
+	// recycle them as soon as the lock drops.
+	s := lg.set
+	s.pendMu.Lock()
+	s.pending = append(s.pending, recs...)
+	s.pendMu.Unlock()
 }
 
 // writerFor returns the writer of the given batch, rotating files as the

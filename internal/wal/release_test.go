@@ -1,9 +1,9 @@
 package wal
 
-// Tests for the release path's commit-record recycling (active only when no
-// OnRelease observer is configured) and the uniform updatePepoch guard: the
-// release scan runs even when the persistent epoch is unchanged, and the
-// durable pepoch marker is rewritten only when it advances.
+// Tests for the release path's commit-record recycling and the uniform
+// updatePepoch guard: the release scan runs even when the persistent epoch
+// is unchanged, and the durable pepoch marker is rewritten only when it
+// advances.
 
 import (
 	"errors"
@@ -17,10 +17,10 @@ import (
 	"pacman/internal/txn"
 )
 
-// TestReleaseRecyclesWithoutObserver runs the full pipeline with no
-// OnRelease hook — the configuration that recycles released commit records
-// into the pool — under concurrent clients, and checks every future
-// resolves durable with its own execution outcome intact.
+// TestReleaseRecyclesWithoutObserver runs the full pipeline, which recycles
+// released commit records into the pool, under concurrent clients, and
+// checks every future resolves durable with its own execution outcome
+// intact.
 func TestReleaseRecyclesWithoutObserver(t *testing.T) {
 	b, m := bankSetup(t)
 	dev := simdisk.New("d", simdisk.Unlimited())
@@ -151,7 +151,7 @@ func TestPersistedEpochAdvances(t *testing.T) {
 
 	for e := 0; e < 4; e++ {
 		if _, err := w.Execute(b.Deposit,
-			proc.Args{proc.A(tuple.I(int64(1 + e))), proc.A(tuple.I(1)), proc.A(tuple.I(1))}, false, time.Now()); err != nil {
+			proc.Args{proc.A(tuple.I(int64(1 + e))), proc.A(tuple.I(1)), proc.A(tuple.I(1))}, false); err != nil {
 			t.Fatal(err)
 		}
 		m.AdvanceEpoch()
@@ -205,12 +205,9 @@ func TestFlushSyncFailureFailsRecords(t *testing.T) {
 	if _, err := fut.Wait(); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("future resolved %v, want ErrCrashed", err)
 	}
-	n := 0
-	for _, sh := range ls.relShards {
-		sh.mu.Lock()
-		n += len(sh.pending)
-		sh.mu.Unlock()
-	}
+	ls.pendMu.Lock()
+	n := len(ls.pending)
+	ls.pendMu.Unlock()
 	if n != 0 {
 		t.Fatalf("%d unsynced records parked in pending (would be released as durable)", n)
 	}

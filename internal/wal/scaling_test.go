@@ -1,12 +1,11 @@
 package wal
 
-// Tests for the core-scaling pieces of the durability pipeline: sharded
-// release scanning (exactly-once resolution across shards), striped batch
-// encoding (byte-identical to the serial encode), and the persistent epoch
-// of an inactive log set.
+// Tests for the durability pipeline under concurrent workers (exactly-once
+// release across loggers), the goroutines a log set owns, and the
+// persistent epoch of an inactive log set.
 
 import (
-	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -17,26 +16,14 @@ import (
 	"pacman/internal/txn"
 )
 
-// TestShardedReleaseExactlyOnce drives many workers through a log set with
-// several release shards and an OnRelease observer: every committed
-// transaction must be surfaced exactly once across all shards, and every
-// future must resolve durable — no record may be double-released by two
-// shards or stranded between them.
-func TestShardedReleaseExactlyOnce(t *testing.T) {
+// TestReleaseExactlyOnce drives many workers through a log set with two
+// loggers: every committed transaction's future must resolve durable
+// exactly once, covered by the persistent epoch, with the commit timestamp
+// its execution returned — no record may be resolved twice or stranded.
+func TestReleaseExactlyOnce(t *testing.T) {
 	b, m := bankSetup(t)
 	devs := []*simdisk.Device{simdisk.New("d0", simdisk.Unlimited()), simdisk.New("d1", simdisk.Unlimited())}
-	cfg := Config{Kind: Command, BatchEpochs: 100, FlushInterval: time.Millisecond, Sync: true}
-	cfg.FlushInterval = 200 * time.Microsecond
-	cfg.ReleaseShards = 4
-	var obsMu sync.Mutex
-	seen := map[uint64]int{}
-	cfg.OnRelease = func(recs []*txn.Committed) {
-		obsMu.Lock()
-		for _, c := range recs {
-			seen[uint64(c.TS)]++
-		}
-		obsMu.Unlock()
-	}
+	cfg := Config{Kind: Command, BatchEpochs: 100, FlushInterval: 200 * time.Microsecond, Sync: true}
 	ls := NewLogSet(m, cfg, devs)
 	ls.Start()
 
@@ -79,62 +66,92 @@ func TestShardedReleaseExactlyOnce(t *testing.T) {
 	close(stopTick)
 	ls.Close()
 
-	total := 0
+	seen := map[uint64]int{}
+	pe := ls.PersistedEpoch()
 	for g := range futs {
+		if len(futs[g]) != per {
+			t.Fatalf("worker %d committed %d transactions, want %d", g, len(futs[g]), per)
+		}
 		for i, f := range futs[g] {
-			if _, err := f.Wait(); err != nil {
+			got, err := f.Wait()
+			if err != nil {
 				t.Fatalf("worker %d txn %d: %v", g, i, err)
 			}
-			total++
-			if n := seen[ts[g][i]]; n != 1 {
-				t.Fatalf("worker %d txn %d (ts %d) released %d times, want exactly once",
-					g, i, ts[g][i], n)
+			if got != ts[g][i] {
+				t.Fatalf("worker %d txn %d: future ts %d != exec ts %d", g, i, got, ts[g][i])
 			}
+			if f.Epoch() > pe {
+				t.Fatalf("worker %d txn %d released at epoch %d > pepoch %d", g, i, f.Epoch(), pe)
+			}
+			seen[got]++
 		}
 	}
-	if len(seen) != total {
-		t.Fatalf("observer saw %d distinct transactions, %d committed", len(seen), total)
+	if len(seen) != workers*per {
+		t.Fatalf("%d distinct timestamps released, %d committed", len(seen), workers*per)
+	}
+	for k, n := range seen {
+		if n != 1 {
+			t.Fatalf("ts %d released %d times, want exactly once", k, n)
+		}
 	}
 }
 
-// TestStripedEncodeMatchesInline pins the striped-encode contract: splitting
-// a batch range into concurrently encoded stripes written in order must
-// produce bytes identical to the serial single-buffer encode — batch-file
-// contents never depend on the stripe geometry.
-func TestStripedEncodeMatchesInline(t *testing.T) {
-	b, m := bankSetup(t)
-	w := m.NewWorker()
-	const n = 3 * stripeMinRecs
-	for i := 0; i < n; i++ {
-		mustExec(t, w, b, int64(1+i%20))
+// waitGoroutines polls until the process runs exactly want goroutines and
+// fails the test if it does not get there within d.
+func waitGoroutines(t *testing.T, want int, d time.Duration, what string) {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	for {
+		got := runtime.NumGoroutine()
+		if got == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, want %d", what, got, want)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	recs := w.Drain(^uint32(0))
-	if len(recs) != n {
-		t.Fatalf("drained %d records, want %d", len(recs), n)
-	}
-	inline := encodeRecords(nil, Command, recs)
+}
 
-	dev := simdisk.New("enc", simdisk.Unlimited())
-	cfg := Config{Kind: Command, BatchEpochs: 100, FlushInterval: time.Millisecond, Sync: true}
-	cfg.EncodeStripes = 4
-	ls := NewLogSet(m, cfg, []*simdisk.Device{dev})
-	ls.Start()
-	wtr := dev.Create("stripetest")
-	ls.loggers[0].encodeStriped(wtr, recs)
-	if err := wtr.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := dev.Open("stripetest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	striped, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls.Close()
-	if !bytes.Equal(inline, striped) {
-		t.Fatalf("striped encode differs from inline: %d vs %d bytes", len(striped), len(inline))
+// TestLogSetGoroutines pins the log set's lifecycle: a started set runs one
+// goroutine per logger plus the pepoch goroutine, and both Close and Abort
+// stop all of them.
+func TestLogSetGoroutines(t *testing.T) {
+	for _, stop := range []string{"Close", "Abort"} {
+		t.Run(stop, func(t *testing.T) {
+			b, m := bankSetup(t)
+			devs := []*simdisk.Device{simdisk.New("d0", simdisk.Unlimited()), simdisk.New("d1", simdisk.Unlimited())}
+			cfg := Config{Kind: Command, BatchEpochs: 100, FlushInterval: 200 * time.Microsecond, Sync: true}
+			// Let goroutines earlier tests left exiting finish first: the
+			// baseline is a count that holds still for 10 ms.
+			base := runtime.NumGoroutine()
+			for {
+				time.Sleep(10 * time.Millisecond)
+				n := runtime.NumGoroutine()
+				if n == base {
+					break
+				}
+				base = n
+			}
+			ls := NewLogSet(m, cfg, devs)
+			w := m.NewWorker()
+			ls.AttachWorker(w)
+			ls.Start()
+			waitGoroutines(t, base+len(devs)+1, 3*time.Second, "after Start")
+			f := submitFuture(t, w, b, 1)
+			w.Retire()
+			m.AdvanceEpoch()
+			if _, err := f.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			waitGoroutines(t, base+len(devs)+1, 3*time.Second, "after a release")
+			if stop == "Close" {
+				ls.Close()
+			} else {
+				ls.Abort()
+			}
+			waitGoroutines(t, base, 3*time.Second, "after "+stop)
+		})
 	}
 }
 

@@ -22,7 +22,7 @@ func bankSetup(t testing.TB) (*workload.Bank, *txn.Manager) {
 func mustExec(t testing.TB, w *txn.Worker, b *workload.Bank, acct int64) engine.TS {
 	t.Helper()
 	ts, err := w.Execute(b.Deposit,
-		proc.Args{proc.A(tuple.I(acct)), proc.A(tuple.I(7)), proc.A(tuple.I(1))}, false, time.Now())
+		proc.Args{proc.A(tuple.I(acct)), proc.A(tuple.I(7)), proc.A(tuple.I(1))}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRecordSizeOrdering(t *testing.T) {
 	// Multi-write transactions (Transfer: three writes): CL wins clearly,
 	// which is the TPC-C effect behind Table 1's 10x ratios.
 	if _, err := w.Execute(b.Transfer,
-		proc.Args{proc.A(tuple.I(1)), proc.A(tuple.I(5))}, false, time.Now()); err != nil {
+		proc.Args{proc.A(tuple.I(1)), proc.A(tuple.I(5))}, false); err != nil {
 		t.Fatal(err)
 	}
 	recs = w.Drain(10)
@@ -107,7 +107,7 @@ func TestAdHocUnderCommandLogging(t *testing.T) {
 	b, m := bankSetup(t)
 	w := m.NewWorker()
 	if _, err := w.Execute(b.Deposit,
-		proc.Args{proc.A(tuple.I(4)), proc.A(tuple.I(7)), proc.A(tuple.I(1))}, true, time.Now()); err != nil {
+		proc.Args{proc.A(tuple.I(4)), proc.A(tuple.I(7)), proc.A(tuple.I(1))}, true); err != nil {
 		t.Fatal(err)
 	}
 	recs := w.Drain(10)
@@ -313,27 +313,38 @@ func TestCrashDropsUnsyncedTail(t *testing.T) {
 	}
 }
 
+// TestReleaseCallbackAfterPepoch: a commit's future resolves only in the
+// release pass after its record is flushed and covered by the persistent
+// epoch, carrying the commit's timestamp.
 func TestReleaseCallbackAfterPepoch(t *testing.T) {
 	b, m := bankSetup(t)
 	dev := simdisk.New("d", simdisk.Unlimited())
-	var released []*txn.Committed
-	cfg := Config{Kind: Command, BatchEpochs: 100, FlushInterval: time.Millisecond, Sync: true}
-	cfg.FlushInterval = time.Hour
-	cfg.OnRelease = func(cs []*txn.Committed) { released = append(released, cs...) }
+	cfg := Config{Kind: Command, BatchEpochs: 100, FlushInterval: time.Hour, Sync: true}
 	ls := NewLogSet(m, cfg, []*simdisk.Device{dev})
 	w := m.NewWorker()
 	ls.AttachWorker(w)
-	ts := mustExec(t, w, b, 1)
-	// Not flushed yet: nothing released.
-	if len(released) != 0 {
-		t.Fatal("released before persistence")
+	f := txn.NewFuture(time.Now())
+	ts, err := w.ExecuteFuture(f, b.Deposit,
+		proc.Args{proc.A(tuple.I(1)), proc.A(tuple.I(7)), proc.A(tuple.I(1))}, txn.Command)
+	if err != nil {
+		t.Fatal(err)
 	}
 	m.AdvanceEpoch()
 	w.Heartbeat()
-	ls.loggers[0].flush(m.SafeEpoch())
 	ls.updatePepoch()
-	if len(released) != 1 || released[0].TS != ts {
-		t.Fatalf("released = %v", released)
+	if f.Resolved() {
+		t.Fatal("released before persistence")
+	}
+	ls.loggers[0].flush(m.SafeEpoch())
+	if f.Resolved() {
+		t.Fatal("released before the persistent epoch covered it")
+	}
+	ls.updatePepoch()
+	if !f.Resolved() {
+		t.Fatal("not released after the persistent epoch covered it")
+	}
+	if got, err := f.Wait(); err != nil || got != ts {
+		t.Fatalf("released future = (%d, %v), want the commit ts %d", got, err, ts)
 	}
 }
 

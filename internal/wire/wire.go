@@ -280,7 +280,9 @@ func AppendHelloAck(buf []byte, version uint16, window uint32, procs []string) [
 	return buf
 }
 
-// ParseHelloAck decodes a HelloAck payload.
+// ParseHelloAck decodes a HelloAck payload. A procedure count larger than
+// the bytes left (every name takes at least its 2-byte length) fails before
+// the table is allocated.
 func ParseHelloAck(p []byte) (version uint16, window uint32, procs []string, err error) {
 	if len(p) < 8 {
 		return 0, 0, nil, ErrTruncated
@@ -289,6 +291,9 @@ func ParseHelloAck(p []byte) (version uint16, window uint32, procs []string, err
 	window = binary.LittleEndian.Uint32(p[2:6])
 	n := int(binary.LittleEndian.Uint16(p[6:8]))
 	off := 8
+	if n > len(p[off:])/2 {
+		return 0, 0, nil, ErrTruncated
+	}
 	procs = make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		if len(p[off:]) < 2 {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"time"
 
 	"pacman/internal/analysis"
 	"pacman/internal/engine"
@@ -69,7 +68,7 @@ func TestTPCCMixExecutes(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		tx := w.Generate(rng)
 		counts[tx.Proc.Name()]++
-		_, err := worker.Execute(tx.Proc, tx.Args, tx.AdHoc, time.Now())
+		_, err := worker.Execute(tx.Proc, tx.Args, tx.AdHoc)
 		if err != nil {
 			if errors.Is(err, proc.ErrAborted) && tx.MayAbort {
 				aborted++
@@ -167,7 +166,7 @@ func TestTPCCDisableInserts(t *testing.T) {
 	before := indexLen(w.DB().Table("OORDER"))
 	for i := 0; i < 200; i++ {
 		tx := w.Generate(rng)
-		if _, err := worker.Execute(tx.Proc, tx.Args, false, time.Now()); err != nil &&
+		if _, err := worker.Execute(tx.Proc, tx.Args, false); err != nil &&
 			!(errors.Is(err, proc.ErrAborted) && tx.MayAbort) {
 			t.Fatal(err)
 		}
@@ -199,7 +198,7 @@ func TestSmallbankMixAndInvariant(t *testing.T) {
 	deposits := 0.0
 	for i := 0; i < 500; i++ {
 		tx := s.Generate(rng)
-		_, err := worker.Execute(tx.Proc, tx.Args, tx.AdHoc, time.Now())
+		_, err := worker.Execute(tx.Proc, tx.Args, tx.AdHoc)
 		if err != nil {
 			if errors.Is(err, proc.ErrAborted) && tx.MayAbort {
 				continue

@@ -98,8 +98,6 @@ type (
 	Row = engine.Row
 	// GDG is the global dependency graph from static analysis.
 	GDG = analysis.GDG
-	// ReplayMode selects CLR-P's parallelism level.
-	ReplayMode = sched.Mode
 	// SnapshotView is a pinned consistent snapshot of the database at a
 	// released epoch: reads through it never latch rows, never join OCC
 	// validation, and therefore never abort writers. Close it when done so
@@ -134,13 +132,6 @@ const (
 	LLRP       = recovery.LLRP
 	CLR        = recovery.CLR
 	CLRP       = recovery.CLRP
-)
-
-// Replay modes for CLR-P (the Figure 18/19 ablations).
-const (
-	StaticOnly  = sched.StaticOnly
-	Synchronous = sched.Synchronous
-	Pipelined   = sched.Pipelined
 )
 
 // Argument helpers, re-exported so applications (and pacmand wire clients)
@@ -195,12 +186,6 @@ type Options struct {
 	// self-contained value records (see docs/ARCHITECTURE.md, "Sharding &
 	// cross-shard commit"). Unknown names are ignored.
 	ValueLogProcs []string
-	// OnRelease observes transactions whose results become durable (group
-	// commit released). It rides the same release path that resolves
-	// durable-commit Futures; prefer per-request Futures
-	// (Frontend.SubmitRequest) for new code — they carry per-transaction
-	// (TS, ExecAt, DurableAt) instead of one global hook.
-	OnRelease func(ts []TS, start []time.Time)
 	// Health tunes the gray-failure watchdog (zero value: enabled with
 	// generous budgets scaled off EpochInterval).
 	Health HealthConfig
@@ -241,9 +226,6 @@ type HealthConfig struct {
 	// QueueStallBudget bounds how long a frontend's submission queue may go
 	// without a dequeue while non-empty (default max(100×EpochInterval, 2s)).
 	QueueStallBudget time.Duration
-	// OnTransition observes brownout entry/exit (after the built-in
-	// frontend fan-out). Must not block.
-	OnTransition func(from, to string, cause string)
 	// Logf, when non-nil, receives one line per watchdog transition.
 	Logf func(format string, args ...any)
 }
@@ -456,18 +438,6 @@ func (d *DB) Start() error {
 		ResumeEpoch:     d.resumePepoch,
 		OnPepochAdvance: func(uint32) { d.snap.Kick() },
 	}
-	if d.opts.OnRelease != nil {
-		rel := d.opts.OnRelease
-		cfg.OnRelease = func(cs []*txn.Committed) {
-			tss := make([]TS, len(cs))
-			starts := make([]time.Time, len(cs))
-			for i, c := range cs {
-				tss[i] = c.TS
-				starts[i] = c.Start
-			}
-			rel(tss, starts)
-		}
-	}
 	d.logset = wal.NewLogSet(d.mgr, cfg, d.devices)
 	d.logset.Start()
 	d.snap.Start()
@@ -491,11 +461,8 @@ func (d *DB) startWatchdog() {
 		Interval:   hc.Interval,
 		TripAfter:  hc.TripAfter,
 		ClearAfter: hc.ClearAfter,
-		OnTransition: func(from, to health.State, cause string) {
+		OnTransition: func(_, to health.State, _ string) {
 			d.setBrownout(to == health.Brownout)
-			if hc.OnTransition != nil {
-				hc.OnTransition(from.String(), to.String(), cause)
-			}
 		},
 		Logf: hc.Logf,
 	})
@@ -842,7 +809,7 @@ func (s *Session) Exec(name string, args Args) (TS, error) {
 	if c == nil {
 		return 0, fmt.Errorf("pacman: unknown procedure %q", name)
 	}
-	return s.w.Execute(c, args, false, time.Now())
+	return s.w.Execute(c, args, false)
 }
 
 // Heartbeat publishes liveness while the session is idle; call it when the
@@ -863,18 +830,14 @@ type RecoverConfig struct {
 	Scheme Scheme
 	// Serve configures the restarted instance's serving behavior (Restart
 	// only): EpochInterval, CheckpointEvery, MaxRetries, ValueLogProcs,
-	// OnRelease, Health. The logging kind, batch geometry, and devices
-	// always come from the manifest and the device slice — Logging,
-	// BatchEpochs, Devices, DeviceConfig, and ExistingDevices set here are
+	// Health. The logging kind, batch geometry, and devices always come
+	// from the manifest and the device slice — Logging, BatchEpochs,
+	// Devices, DeviceConfig, and ExistingDevices set here are
 	// overridden or unused — and a zero EpochInterval inherits the crashed
 	// instance's group-commit cadence from the manifest.
 	Serve Options
 	// Threads is the recovery parallelism (default 1).
 	Threads int
-	// Mode selects CLR-P's parallelism (default Pipelined).
-	Mode ReplayMode
-	// DisableLatches is the Figure 15 unsafe toggle for PLR/LLR.
-	DisableLatches bool
 	// Breakdown receives the Figure 20 phase split when non-nil (use
 	// NewBreakdown).
 	Breakdown *Breakdown
@@ -904,14 +867,12 @@ func (d *DB) Recover(from []*Device, scheme Scheme, cfg RecoverConfig) (*Recover
 		cfg.Threads = 1
 	}
 	opts := recovery.Options{
-		Scheme:         scheme,
-		DB:             d.db,
-		Registry:       d.reg,
-		Devices:        from,
-		Threads:        cfg.Threads,
-		DisableLatches: cfg.DisableLatches,
-		Mode:           cfg.Mode,
-		Breakdown:      cfg.Breakdown,
+		Scheme:    scheme,
+		DB:        d.db,
+		Registry:  d.reg,
+		Devices:   from,
+		Threads:   cfg.Threads,
+		Breakdown: cfg.Breakdown,
 	}
 	if scheme == recovery.CLRP {
 		opts.GDG = d.Analyze()

@@ -166,34 +166,30 @@ func TestCheckpointViaAPI(t *testing.T) {
 	}
 }
 
-func TestOnReleaseLatency(t *testing.T) {
-	var mu sync.Mutex
-	released := 0
-	d, _ := openBank(Options{
-		Logging:       CommandLogging,
-		EpochInterval: time.Millisecond,
-		OnRelease: func(ts []TS, start []time.Time) {
-			mu.Lock()
-			released += len(ts)
-			mu.Unlock()
-		},
-	})
+// TestReleaseLatency: every commit submitted through a Frontend resolves
+// durable by Close, at an epoch the persistent epoch covers, with its
+// submit, execute and release times in order.
+func TestReleaseLatency(t *testing.T) {
+	d, _ := openBank(Options{Logging: CommandLogging, EpochInterval: time.Millisecond})
 	d.Start()
-	s := session(t, d)
+	fe := d.MustFrontend(FrontendConfig{})
+	var futs []*Future
 	for i := 0; i < 20; i++ {
-		if _, err := s.Exec("Deposit", Args{
-			proc.A(tuple.I(1)), proc.A(tuple.I(1)), proc.A(tuple.I(1)),
-		}); err != nil {
-			t.Fatal(err)
+		futs = append(futs, fe.Submit("Deposit", depositArgs(1, 1)))
+	}
+	for i, f := range futs {
+		if _, err := f.Wait(); err != nil {
+			t.Fatalf("future %d: %v", i, err)
+		}
+		if pe := d.PersistedEpoch(); f.Epoch() > pe {
+			t.Fatalf("future %d released at epoch %d > pepoch %d", i, f.Epoch(), pe)
+		}
+		if f.ExecAt().Before(f.Start()) || f.DurableAt().Before(f.ExecAt()) {
+			t.Fatalf("future %d: start %v, exec %v, durable %v out of order", i, f.Start(), f.ExecAt(), f.DurableAt())
 		}
 	}
-	s.Retire()
+	fe.Close()
 	d.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	if released != 20 {
-		t.Errorf("released = %d, want 20", released)
-	}
 }
 
 func TestAnalyzeExposesGDG(t *testing.T) {
